@@ -65,7 +65,7 @@ _build_tables()
 
 
 def gf256_mul(a, b):
-    """Product in GF(2^8)."""
+    """Product in GF(2^8) (the scalar reference for the row tables)."""
     if a == 0 or b == 0:
         return 0
     return _EXP[_LOG[a] + _LOG[b]]
@@ -78,21 +78,31 @@ def gf256_inv(a):
     return _EXP[255 - _LOG[a]]
 
 
+#: One 256-byte translate table per multiplier (64 KiB), so scaling a
+#: whole row by ``c`` is ``row.translate(_MUL[c])``.
+_MUL = [bytes(gf256_mul(c, x) for x in range(256)) for c in range(256)]
+
+
 # ---------------------------------------------------------------------------
 # Field descriptors
 # ---------------------------------------------------------------------------
+#
+# Each field exposes ``table``, indexed by coefficient: ``table[c]`` is the
+# ``bytes.translate`` table multiplying every byte of a row by ``c``, and
+# ``len(table)`` is the field order.  Adding rows is XOR in GF(2^k), done
+# on whole rows as one big-int XOR.
 
 
 class _GF256:
     """GF(2^8): byte coefficients, table-driven multiply."""
 
     name = "gf256"
+    table = _MUL
 
     @staticmethod
     def draw_coeffs(n, rng):
         return tuple(rng.randrange(256) for _ in range(n))
 
-    mul = staticmethod(gf256_mul)
     inv = staticmethod(gf256_inv)
 
     @staticmethod
@@ -104,15 +114,12 @@ class _GF2:
     """GF(2): bit coefficients, XOR-only arithmetic."""
 
     name = "gf2"
+    table = (bytes(256), bytes(range(256)))
 
     @staticmethod
     def draw_coeffs(n, rng):
         bits = rng.getrandbits(n)
         return tuple((bits >> i) & 1 for i in range(n))
-
-    @staticmethod
-    def mul(a, b):
-        return a & b
 
     @staticmethod
     def inv(a):
@@ -165,39 +172,6 @@ def unpack_coeffs(data, n, field="gf256"):
 
 
 # ---------------------------------------------------------------------------
-# Row operations shared by encoder and decoder
-# ---------------------------------------------------------------------------
-
-
-def _scale_row(coeffs, payload, factor, field):
-    """In-place ``row *= factor`` (bytearrays)."""
-    if factor == 1:
-        return
-    mul = field.mul
-    for j in range(len(coeffs)):
-        coeffs[j] = mul(factor, coeffs[j])
-    for j in range(len(payload)):
-        payload[j] = mul(factor, payload[j])
-
-
-def _subtract_scaled(coeffs, payload, factor, p_coeffs, p_payload, field):
-    """In-place ``row -= factor * pivot_row`` (addition is XOR in GF(2^k))."""
-    if factor == 0:
-        return
-    if factor == 1:
-        for j in range(len(coeffs)):
-            coeffs[j] ^= p_coeffs[j]
-        for j in range(len(payload)):
-            payload[j] ^= p_payload[j]
-        return
-    mul = field.mul
-    for j in range(len(coeffs)):
-        coeffs[j] ^= mul(factor, p_coeffs[j])
-    for j in range(len(payload)):
-        payload[j] ^= mul(factor, p_payload[j])
-
-
-# ---------------------------------------------------------------------------
 # Encoder
 # ---------------------------------------------------------------------------
 
@@ -245,18 +219,12 @@ class GenerationEncoder:
             coeffs = self.field.draw_coeffs(self.n, self.rng)
             if any(coeffs):
                 break
-        payload = bytearray(self.payload_len)
-        mul = self.field.mul
+        table = self.field.table
+        acc = 0  # sum of c * row, one little-endian big int
         for c, row in zip(coeffs, self._rows):
-            if c == 0:
-                continue
-            if c == 1:
-                for j in range(self.payload_len):
-                    payload[j] ^= row[j]
-            else:
-                for j in range(self.payload_len):
-                    payload[j] ^= mul(c, row[j])
-        return coeffs, bytes(payload)
+            if c:
+                acc ^= int.from_bytes(row.translate(table[c]), "little")
+        return coeffs, acc.to_bytes(self.payload_len, "little")
 
     def ram_bytes(self):
         """Sender-side generation buffer (packets cached in RAM)."""
@@ -282,7 +250,8 @@ class GenerationDecoder:
         self.field = _field(field)
         self.n = n
         self.payload_len = payload_len
-        # pivot column -> (coeff bytearray, payload bytearray), reduced.
+        # pivot column -> one reduced row: n coefficient bytes, then the
+        # payload.  Rows are immutable ``bytes``, replaced when reduced.
         self._pivots = {}
 
     @property
@@ -297,37 +266,55 @@ class GenerationDecoder:
         """Absorb one coded packet; True iff it was innovative.
 
         Malformed rows (wrong coefficient count or payload length -- e.g.
-        a truncated header surviving a corrupted decode) are rejected as
-        non-innovative rather than poisoning the matrix.
+        a truncated header surviving a corrupted decode -- or a
+        coefficient outside the field) are rejected as non-innovative
+        rather than poisoning the matrix.
         """
-        if len(coeffs) != self.n or len(payload) != self.payload_len:
+        n = self.n
+        if len(coeffs) != n or len(payload) != self.payload_len:
             return False
-        row_c = bytearray(coeffs)
-        row_p = bytearray(payload)
-        field = self.field
-        # Reduce against every existing pivot.
-        for col, (p_c, p_p) in self._pivots.items():
-            _subtract_scaled(row_c, row_p, row_c[col], p_c, p_p, field)
-        # Find this row's pivot column, if anything survived.
-        pivot = -1
-        for col in range(self.n):
-            if row_c[col]:
-                pivot = col
-                break
-        if pivot < 0:
+        table = self.field.table
+        try:
+            head = bytes(coeffs)
+        except ValueError:
+            return False  # a coefficient outside 0..255
+        if max(head, default=0) >= len(table):
+            return False
+        width = n + self.payload_len
+        row = int.from_bytes(head + payload, "little")
+        pivots = self._pivots
+        # Reduce against every existing pivot.  Each pivot row is zero in
+        # every other pivot column, so the factor for column ``col`` is
+        # the incoming coefficient itself.
+        for col, p_row in pivots.items():
+            c = head[col]
+            if c:
+                row ^= int.from_bytes(p_row.translate(table[c]), "little")
+        # This row's pivot is its first nonzero coefficient, if any
+        # survived: the lowest set byte of the coefficient bits.
+        coeff_bits = row & ((1 << (8 * n)) - 1)
+        if not coeff_bits:
             return False  # linearly dependent (e.g. a duplicate)
-        _scale_row(row_c, row_p, field.inv(row_c[pivot]), field)
+        pivot = ((coeff_bits & -coeff_bits).bit_length() - 1) >> 3
+        lead = (coeff_bits >> (8 * pivot)) & 0xFF
+        new = row.to_bytes(width, "little").translate(
+            table[self.field.inv(lead)])
         # Back-eliminate the new pivot column from every existing row.
-        for p_c, p_p in self._pivots.values():
-            _subtract_scaled(p_c, p_p, p_c[pivot], row_c, row_p, field)
-        self._pivots[pivot] = (row_c, row_p)
+        for col, p_row in list(pivots.items()):
+            c = p_row[pivot]
+            if c:
+                pivots[col] = (
+                    int.from_bytes(p_row, "little")
+                    ^ int.from_bytes(new.translate(table[c]), "little")
+                ).to_bytes(width, "little")
+        pivots[pivot] = new
         return True
 
     def packet(self, packet_id):
         """Plaintext packet ``packet_id`` (only once :attr:`is_complete`)."""
         if not self.is_complete:
             raise ValueError("generation not yet decodable")
-        return bytes(self._pivots[packet_id][1])
+        return self._pivots[packet_id][self.n:]
 
     def ram_bytes(self):
         """Decoder matrix residency: rank rows of (coeffs + payload)."""

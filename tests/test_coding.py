@@ -2,11 +2,13 @@
 
 The unit half is a seeded fuzz of the GF(2^8) and GF(2) generation
 encoder/decoder -- random rank-deficient batches, duplicated coded
-packets, truncated coefficient headers -- plus the EEPROM-flush and
-power-cycle behavior of :class:`CodedSegmentTracker`.  The integration
-half runs ``coded_mnp`` and ``coded_deluge`` end to end: completion,
-byte-exact content, determinism, and the headline property that coding
-beats stock MNP on message count under heavy loss.
+packets, truncated coefficient headers, out-of-field coefficients, and a
+differential check of the whole-row table/XOR kernel against the scalar
+field definition -- plus the EEPROM-flush and power-cycle behavior of
+:class:`CodedSegmentTracker`.  The integration half runs ``coded_mnp``
+and ``coded_deluge`` end to end: completion, byte-exact content,
+determinism, and the headline property that coding beats stock MNP on
+message count under heavy loss.
 
 All randomness comes from per-test ``random.Random`` seeds, so a
 failure replays exactly.
@@ -25,6 +27,7 @@ from repro import (
     UniformLossModel,
 )
 from repro.core.coding import (
+    FIELDS,
     CodedSegmentTracker,
     GenerationDecoder,
     GenerationEncoder,
@@ -55,6 +58,103 @@ def test_gf256_field_axioms_sampled():
     assert gf256_mul(0, 7) == 0 and gf256_mul(7, 0) == 0
     with pytest.raises(ZeroDivisionError):
         gf256_inv(0)
+
+
+# ---------------------------------------------------------------------------
+# Differential: whole-row kernel vs the scalar field definition
+# ---------------------------------------------------------------------------
+
+#: field -> (scalar multiply, scalar inverse): the readable definitions
+#: the row tables must reproduce byte for byte.  Under GF(2) a payload
+#: byte is eight independent bits, so a coefficient keeps or clears it.
+SCALAR = {
+    "gf256": (gf256_mul, gf256_inv),
+    "gf2": (lambda c, x: x if c else 0, lambda a: 1),
+}
+
+
+class ScalarDecoder:
+    """Gauss-Jordan over per-byte scalar multiplies: the reference the
+    table-translate/big-int-XOR decoder is checked against."""
+
+    def __init__(self, n, field):
+        self.n = n
+        self.mul, self.inv = SCALAR[field]
+        self.pivots = {}  # pivot column -> list of coeffs + payload
+
+    def _subtract_scaled(self, row, factor, pivot_row):
+        for j, x in enumerate(pivot_row):
+            row[j] ^= self.mul(factor, x)
+
+    def add(self, coeffs, payload):
+        row = list(coeffs) + list(payload)
+        for col, p_row in self.pivots.items():
+            self._subtract_scaled(row, row[col], p_row)
+        nonzero = [col for col in range(self.n) if row[col]]
+        if not nonzero:
+            return False
+        pivot = nonzero[0]
+        factor = self.inv(row[pivot])
+        row = [self.mul(factor, x) for x in row]
+        for p_row in self.pivots.values():
+            self._subtract_scaled(p_row, p_row[pivot], row)
+        self.pivots[pivot] = row
+        return True
+
+
+@pytest.mark.parametrize("field", ["gf256", "gf2"])
+def test_row_tables_match_scalar_multiply(field):
+    mul, _ = SCALAR[field]
+    table = FIELDS[field].table
+    row = bytes(range(256))
+    for c in range(len(table)):
+        assert row.translate(table[c]) == bytes(mul(c, x) for x in row)
+
+
+@pytest.mark.parametrize("field", ["gf256", "gf2"])
+def test_decoder_rows_match_scalar_elimination(field):
+    """Every add() -- innovative, duplicate or dependent -- leaves the
+    decoder's reduced rows byte-equal to scalar Gauss-Jordan."""
+    rng = random.Random(0xD1FF)
+    order = len(FIELDS[field].table)
+    for trial in range(20):
+        n = rng.randrange(1, 17)
+        payload_len = rng.randrange(1, 24)
+        decoder = GenerationDecoder(n, payload_len, field=field)
+        reference = ScalarDecoder(n, field)
+        sent = []
+        for _ in range(2 * n + 4):
+            if sent and rng.random() < 0.25:
+                coeffs, payload = rng.choice(sent)  # a duplicate
+            else:
+                coeffs = tuple(rng.randrange(order) for _ in range(n))
+                payload = bytes(rng.randrange(256)
+                                for _ in range(payload_len))
+                sent.append((coeffs, payload))
+            assert decoder.add(coeffs, payload) == \
+                reference.add(coeffs, payload)
+            assert decoder.rank == len(reference.pivots)
+            assert {col: list(row) for col, row in
+                    decoder._pivots.items()} == reference.pivots
+
+
+@pytest.mark.parametrize("field", ["gf256", "gf2"])
+def test_next_coded_matches_scalar_combination(field):
+    mul, _ = SCALAR[field]
+    rng = random.Random(0xC0DE)
+    for trial in range(20):
+        n = rng.randrange(1, 33)
+        packets = _random_generation(rng, n, rng.randrange(1, 24))
+        rows = [pkt.ljust(23, b"\x00") for pkt in packets]
+        encoder = GenerationEncoder(packets, random.Random(trial),
+                                    field=field)
+        for _ in range(5):
+            coeffs, payload = encoder.next_coded()
+            expected = bytearray(23)
+            for c, row in zip(coeffs, rows):
+                for j in range(23):
+                    expected[j] ^= mul(c, row[j])
+            assert payload == bytes(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +231,35 @@ def test_truncated_coefficient_headers_rejected():
     assert decoder.add((1,) * (n - 1), b"\x00" * 23) is False
     assert decoder.add((1,) * n, b"\x00" * 22) is False
     assert decoder.rank == 0
+
+
+def test_gf2_decoder_rejects_out_of_field_coefficients():
+    """Regression: a GF(2) coefficient of 3 used to become an unnormalised
+    pivot; a later valid (1, 0) then overwrote pivot 0 and reported
+    itself innovative while rank stayed 1."""
+    payload = bytes(range(23))
+    decoder = GenerationDecoder(2, field="gf2")
+    assert decoder.add((3, 0), payload) is False
+    assert decoder.add((0, 2), payload) is False
+    assert decoder.rank == 0
+    assert decoder.add((1, 0), payload) is True
+    assert decoder.add((1, 0), payload) is False
+    assert decoder.add((3, 1), payload) is False
+    assert decoder.rank == 1
+    assert decoder.add((1, 1), bytes(23)) is True
+    assert decoder.is_complete
+    assert decoder.packet(0) == payload and decoder.packet(1) == payload
+
+
+def test_gf256_decoder_rejects_out_of_field_coefficients():
+    decoder = GenerationDecoder(2)
+    assert decoder.add((300, 0), b"\x00" * 23) is False
+    assert decoder.add((1, -1), b"\x00" * 23) is False
+    assert decoder.rank == 0
+    tracker = CodedSegmentTracker(2)
+    assert tracker.absorb((256, 1), b"\x00" * 23) is False
+    assert tracker.rank == 0
+    assert tracker.absorb((255, 1), b"\x00" * 23) is True
 
 
 def test_encoder_rejects_malformed_generations():
