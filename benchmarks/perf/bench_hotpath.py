@@ -3,7 +3,7 @@
 
 Runs the :mod:`repro.profiling` workload suite on the benchmark grid,
 compares it with ``BENCH_hotpath.json`` at the repository root, and (by
-default) rewrites that file's ``current`` section and ``speedup`` table.
+default) rewrites that file's ``current`` section.
 
 The committed JSON records two reference points:
 
@@ -16,9 +16,10 @@ The committed JSON records two reference points:
 
 Wall-clock and events/sec depend on the machine, so ``--check`` asserts
 only the virtual outcomes (that is what CI's single-CPU perf-smoke job
-verifies); speed ratios are informational unless ``--assert-speedup``
-is given, which should only be used on the machine the baseline was
-recorded on.
+verifies); speed ratios against the baseline are printed, never stored
+(one run on another machine is no speed claim), and gate only when
+``--assert-speedup`` is given, which should only be used on the machine
+the baseline was recorded on.
 
 Usage::
 
@@ -27,12 +28,10 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/bench_hotpath.py \
         --assert-speedup 3.0 --phase saturation
 
-``--megagrid`` additionally runs the 100x100 mega-scale workload twice
--- once with ``REPRO_NO_VECTOR=1`` (scalar oracle) and once vectorized
--- asserts their virtual outcomes are bit-identical, and records both
-measurements plus the region-sharded variant under the bench file's
-``megagrid`` section.  It is kept out of ``pre_pr_baseline.phases`` so
-the fast CI ``--check`` gate stays fast.
+``--megagrid`` additionally runs the 100x100 mega-scale workload,
+asserts its virtual outcomes (events, checks) equal the bench file's
+``megagrid`` section, and records the run there.  It is kept out of
+``pre_pr_baseline.phases`` so the fast CI ``--check`` gate stays fast.
 """
 
 import argparse
@@ -81,60 +80,35 @@ def check_virtual_outcomes(bench, report):
     return problems
 
 
-def run_megagrid(bench, rows, cols, shards):
-    """Scalar-vs-vector A/B of the megagrid workload (+ sharded run).
+def run_megagrid(bench, rows, cols):
+    """The megagrid scale workload, checked against its recorded run.
 
     Returns ``(section, problems)``: the JSON section for the bench
-    file and any virtual-outcome mismatches between the two channels.
+    file and any virtual-outcome mismatches with the recorded section
+    (compared only when the grid is the recorded one).
     """
     from repro.profiling import profile_megagrid
 
     seed = bench["seed"]
-    measured = {}
-    for label in ("scalar", "vector"):
-        if label == "scalar":
-            os.environ["REPRO_NO_VECTOR"] = "1"
-        else:
-            os.environ.pop("REPRO_NO_VECTOR", None)
-        phase = profile_megagrid(rows=rows, cols=cols, seed=seed)
-        measured[label] = phase
-        print(f"  megagrid[{label}]: {phase['events']} events, "
-              f"{phase['wall_s']:.2f} s, "
-              f"{phase['events_per_sec']:,.0f} ev/s")
+    phase = profile_megagrid(rows=rows, cols=cols, seed=seed)
+    print(f"  megagrid: {phase['events']} events, {phase['wall_s']:.2f} s, "
+          f"{phase['events_per_sec']:,.0f} ev/s")
     problems = []
-    for key in ("events", "sim_ms", "checks"):
-        if measured["scalar"][key] != measured["vector"][key]:
-            problems.append(
-                f"megagrid: {key} scalar={measured['scalar'][key]!r} "
-                f"!= vector={measured['vector'][key]!r}"
-            )
-    sharded = profile_megagrid(rows=rows, cols=cols, seed=seed,
-                               shards=shards)
-    print(f"  megagrid[sharded {shards}x{shards}]: "
-          f"{sharded['events']} events, {sharded['wall_s']:.2f} s, "
-          f"{sharded['events_per_sec']:,.0f} ev/s "
-          f"(approximate boundary semantics; not outcome-comparable)")
+    recorded = bench.get("megagrid")
+    if recorded and recorded["grid"] == [rows, cols] \
+            and recorded["seed"] == seed:
+        for key in ("events", "checks"):
+            if phase[key] != recorded[key]:
+                problems.append(f"megagrid: {key} {phase[key]!r} != "
+                                f"recorded {recorded[key]!r}")
     section = {
         "grid": [rows, cols],
         "seed": seed,
-        "workload": measured["vector"]["workload"],
-        "checks": measured["vector"]["checks"],
-        "bit_identical": not problems,
-        "scalar": {k: measured["scalar"][k]
-                   for k in ("events", "wall_s", "events_per_sec")},
-        "vector": {k: measured["vector"][k]
-                   for k in ("events", "wall_s", "events_per_sec")},
-        "sharded": {
-            "shards": shards,
-            "events": sharded["events"],
-            "wall_s": sharded["wall_s"],
-            "events_per_sec": sharded["events_per_sec"],
-            "checks": sharded["checks"],
-            "counters": sharded["counters"],
-        },
-        "speedup_vector_vs_scalar":
-            measured["vector"]["events_per_sec"]
-            / measured["scalar"]["events_per_sec"],
+        "workload": phase["workload"],
+        "events": phase["events"],
+        "checks": phase["checks"],
+        "wall_s": phase["wall_s"],
+        "events_per_sec": phase["events_per_sec"],
     }
     return section, problems
 
@@ -154,12 +128,10 @@ def main(argv=None):
                         help="phase --assert-speedup applies to "
                              "(default saturation)")
     parser.add_argument("--megagrid", action="store_true",
-                        help="also A/B the 100x100 megagrid workload "
-                             "(scalar vs vector vs sharded) and record "
-                             "it in the bench file")
+                        help="also run the 100x100 megagrid workload, "
+                             "check it and record it in the bench file")
     parser.add_argument("--megagrid-rows", type=int, default=100)
     parser.add_argument("--megagrid-cols", type=int, default=100)
-    parser.add_argument("--megagrid-shards", type=int, default=2)
     args = parser.parse_args(argv)
 
     from repro.profiling import run_profile
@@ -190,7 +162,6 @@ def main(argv=None):
     if args.megagrid:
         megagrid_section, mega_problems = run_megagrid(
             bench, args.megagrid_rows, args.megagrid_cols,
-            args.megagrid_shards,
         )
         problems.extend(mega_problems)
 
@@ -218,7 +189,6 @@ def main(argv=None):
             "phases": {p["workload"]["name"]: p for p in report["phases"]},
             "totals": report["totals"],
         }
-        bench["speedup"] = speedup
         if megagrid_section is not None:
             bench["megagrid"] = megagrid_section
         with open(args.bench_file, "w") as fh:

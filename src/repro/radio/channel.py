@@ -29,7 +29,10 @@ closest-point-of-approach optimization of per-bit simulation):
 * carrier sense reads a per-node *audible-carrier counter* maintained at
   transmission start/finish/abort instead of scanning active
   transmissions (``_carrier_busy_bruteforce`` keeps the reference scan
-  for differential tests);
+  for differential tests); the counters and the radios are lists
+  indexed by node id (topology ids are ``0..n-1``);
+* an open reception is a two-slot ``[transmission, corrupted]`` list,
+  built once per listener per frame;
 * per-directed-edge BER and per-``(edge, frame size)`` decode
   probabilities are cached when the loss model is static
   (``is_time_varying`` is False); set ``REPRO_NO_LINK_CACHE=1`` to force
@@ -66,14 +69,6 @@ class _Transmission:
         self.listeners = listeners
 
 
-class _Reception:
-    __slots__ = ("transmission", "corrupted")
-
-    def __init__(self, transmission):
-        self.transmission = transmission
-        self.corrupted = False
-
-
 class Channel:
     """Wireless medium over a fixed topology."""
 
@@ -91,16 +86,17 @@ class Channel:
         self.propagation = propagation
         self.bitrate_kbps = bitrate_kbps
         self._rng = derive_rng(seed, "channel")
-        self._radios = {}
+        # node id -> attached Radio (None until attached)
+        self._radios = [None] * len(topology)
         self._neighbor_cache = {}
         # Power level -> range_ft pinned at first use (stale-cache guard).
         self._frozen_range = {}
         self._active = {}  # src node id -> _Transmission
-        self._receptions = {}  # dst node id -> {src id: _Reception}
-        # node id -> number of foreign transmissions currently audible
-        # there (pre-populated with zeros so the hot paths use plain
-        # indexing).  This is what carrier_busy reads.
-        self._carrier = {nid: 0 for nid in topology.node_ids()}
+        # dst node id -> {src id: [transmission, corrupted]}
+        self._receptions = {}
+        # node id -> number of other nodes' transmissions currently
+        # audible there.  This is what carrier_busy reads.
+        self._carrier = [0] * len(topology)
         # Static link budgets (see the loss_model property).
         self._ber_cache = {}  # (src, dst, range_ft) -> BER
         self._decode_cache = {}  # (src, dst, range_ft, bytes) -> P(decode)
@@ -121,12 +117,6 @@ class Channel:
         # only from its own derived stream so a no-op hook leaves runs
         # bit-identical.
         self.decode_hook = None
-        # Sharding layer: foreign (ghost) transmissions replayed from a
-        # neighbouring region (see repro.sim.vector_kernel.ShardedGrid)
-        # and an optional ``fn(tx)`` observer called as each local
-        # transmission starts (used to export boundary traffic).
-        self.foreign_transmissions = 0
-        self.on_transmit = None
 
     # ------------------------------------------------------------------
     # Loss model / link cache
@@ -184,11 +174,6 @@ class Channel:
         radio.channel = self
         self._receptions.setdefault(radio.node_id, {})
 
-    def radio_turned_on(self, radio):
-        """Hook: ``radio`` switched on.  The scalar channel reads power
-        state straight off the radio objects; the vectorized channel
-        overrides this to keep its state arrays in sync."""
-
     def _range_for(self, power_level):
         """Communication range at ``power_level``, frozen at first use.
 
@@ -242,7 +227,7 @@ class Channel:
     # ------------------------------------------------------------------
     def carrier_busy(self, node_id):
         """True if the node's own radio is transmitting or any active
-        transmission is audible at the node.  One dict lookup; the
+        transmission is audible at the node.  One list lookup; the
         counters are maintained by transmit/finish/abort."""
         self.carrier_polls += 1
         if self._radios[node_id].transmitting:
@@ -287,11 +272,13 @@ class Channel:
             raise RuntimeError(f"node {src}: transmit with radio off")
         if src in self._active:
             raise RuntimeError(f"node {src}: already transmitting")
-        airtime = self.airtime_ms(frame)
-        range_ft = self._range_for(radio.power_level)
-        listeners = self.neighbors(src, radio.power_level)
-        tx = _Transmission(src, frame, self.sim.now, self.sim.now + airtime,
-                           range_ft, listeners)
+        airtime = frame.on_air_bytes * 8.0 / self.bitrate_kbps
+        power = radio.power_level
+        range_ft = self._range_for(power)
+        listeners = self.neighbors(src, power)
+        now = self.sim.now
+        tx = _Transmission(src, frame, now, now + airtime, range_ft,
+                           listeners)
         self._active[src] = tx
         radio.tx_started()
         self.transmissions += 1
@@ -302,47 +289,11 @@ class Channel:
                 node=src,
                 kind=type(frame.payload).__name__,
                 bytes=frame.on_air_bytes,
-                power=radio.power_level,
+                power=power,
             )
-        if self.on_transmit is not None:
-            self.on_transmit(tx)
         self._open_receptions(tx)
         self.sim.schedule(airtime, self._finish_transmission, tx, on_done)
         return airtime
-
-    def inject_foreign(self, src, frame, range_ft):
-        """Replay a transmission whose sender lives in another shard.
-
-        ``src`` must be a topology node id with *no* attached radio (the
-        sender's mote is simulated by a neighbouring tile; see
-        :class:`repro.sim.vector_kernel.ShardedGrid`).  The frame
-        occupies the carrier at every in-range local node and is decoded
-        with exactly the unsharded per-edge link budgets; only
-        sender-side bookkeeping (``radio.tx``, energy, counters) is
-        skipped -- the origin tile accounts for those.
-        """
-        if src in self._radios:
-            raise ValueError(f"node {src} is local; use transmit()")
-        if src in self._active:
-            raise RuntimeError(f"foreign source {src}: already on the air")
-        airtime = self.airtime_ms(frame)
-        listeners = self._foreign_listeners(src, range_ft)
-        tx = _Transmission(src, frame, self.sim.now, self.sim.now + airtime,
-                           range_ft, listeners)
-        self._active[src] = tx
-        self.foreign_transmissions += 1
-        self._open_receptions(tx)
-        self.sim.schedule(airtime, self._finish_transmission, tx, None)
-        return airtime
-
-    def _foreign_listeners(self, src, range_ft):
-        """In-range node list for a ghost source (cached per range)."""
-        key = (src, "foreign", range_ft)
-        cached = self._neighbor_cache.get(key)
-        if cached is None:
-            cached = self.topology.nodes_within(src, range_ft)
-            self._neighbor_cache[key] = cached
-        return cached
 
     def _open_receptions(self, tx):
         # The carrier becomes audible at every in-range node; reception
@@ -357,23 +308,21 @@ class Channel:
         receivers_append = tx.receivers.append
         for dst in tx.listeners:
             carrier[dst] += 1
-            receiver = radios.get(dst)
+            receiver = radios[dst]
             if receiver is None or not receiver.is_on or receiver.transmitting:
                 continue
             ongoing = receptions[dst]
-            reception = _Reception(tx)
             if ongoing:
                 # Overlap at this receiver corrupts everything in flight.
-                reception.corrupted = True
                 for other in ongoing.values():
-                    if not other.corrupted:
-                        other.corrupted = True
+                    if not other[1]:
+                        other[1] = True
                         self.collisions += 1
                         if coll_watched:
                             tracer.emit(
                                 "channel.collision",
                                 node=dst,
-                                src=other.transmission.src,
+                                src=other[0].src,
                                 other_src=src,
                             )
                 self.collisions += 1
@@ -382,24 +331,21 @@ class Channel:
                         "channel.collision",
                         node=dst,
                         src=src,
-                        other_src=next(
-                            iter(ongoing.values())
-                        ).transmission.src,
+                        other_src=next(iter(ongoing.values()))[0].src,
                     )
-            ongoing[src] = reception
+                ongoing[src] = [tx, True]
+            else:
+                ongoing[src] = [tx, False]
             receivers_append(dst)
             receiver.rx_began()
 
     def _finish_transmission(self, tx, on_done):
         self._active.pop(tx.src, None)
-        # Foreign (ghost) transmissions have no local sender radio.
-        sender = self._radios.get(tx.src)
         if not tx.aborted:
             # An aborted transmission already released its carrier in
             # radio_went_off.
             self._release_carrier(tx)
-            if sender is not None:
-                sender.tx_finished(self.sim.now - tx.start)
+            self._radios[tx.src].tx_finished(self.sim.now - tx.start)
         # Resolve receptions at the nodes this frame actually reached --
         # never scan the whole network's reception tables.  Per-frame
         # invariants are hoisted out of the receiver loop.
@@ -420,7 +366,7 @@ class Channel:
         for dst in tx.receivers:
             ongoing = receptions[dst]
             reception = ongoing.get(src)
-            if reception is None or reception.transmission is not tx:
+            if reception is None or reception[0] is not tx:
                 # Dropped earlier (receiver turned off) or replaced by a
                 # later frame from the same source; nothing to resolve.
                 continue
@@ -429,7 +375,7 @@ class Channel:
             receiver.rx_ended()
             if aborted:
                 continue
-            if reception.corrupted:
+            if reception[1]:
                 receiver.frames_corrupted += 1
                 continue
             if cache_enabled:
@@ -488,7 +434,7 @@ class Channel:
             for dst in tx.receivers:
                 ongoing = self._receptions[dst]
                 reception = ongoing.get(node)
-                if reception is not None and reception.transmission is tx:
+                if reception is not None and reception[0] is tx:
                     del ongoing[node]
                     self._radios[dst].rx_ended()
         # Frames this node was receiving are lost -- close the rx interval
@@ -499,23 +445,3 @@ class Channel:
             radio.rx_ended()
         own.clear()
 
-
-def make_channel(sim, topology, loss_model, propagation,
-                 bitrate_kbps=MICA2_BITRATE_KBPS, seed=0):
-    """Build the fastest available channel implementation.
-
-    Returns a :class:`repro.radio.vector_channel.VectorChannel` when
-    numpy is importable and ``REPRO_NO_VECTOR`` is unset, else the
-    scalar :class:`Channel`.  Both are bit-identical per seed (the
-    differential suite pins this), so callers may treat the choice as a
-    pure performance knob.
-    """
-    from repro.sim.vector_kernel import vector_enabled
-
-    if vector_enabled():
-        from repro.radio.vector_channel import VectorChannel
-
-        return VectorChannel(sim, topology, loss_model, propagation,
-                             bitrate_kbps=bitrate_kbps, seed=seed)
-    return Channel(sim, topology, loss_model, propagation,
-                   bitrate_kbps=bitrate_kbps, seed=seed)

@@ -44,12 +44,30 @@ class CsmaMac:
         self.sim = sim
         self.radio = radio
         self.channel = channel
-        self.config = config or MacConfig()
+        self.config = config = config or MacConfig()
         self._rng = derive_rng(seed, "mac", radio.node_id)
+        # Backoff windows as (low, width), read from the config once.  A
+        # draw is ``low + width * random()``: random.uniform's formula,
+        # so the delays are the same floats uniform() would return.
+        self._initial_window = (
+            config.initial_backoff_min,
+            config.initial_backoff_max - config.initial_backoff_min,
+        )
+        self._congestion_window = (
+            config.congestion_backoff_min,
+            config.congestion_backoff_max - config.congestion_backoff_min,
+        )
+        self._random = self._rng.random
+        # Bound once: one is scheduled per backoff, one passed per frame.
+        self._attempt_cb = self._attempt
+        self._sent_cb = self._sent
         self._queue = deque()
         self._pending_event = None
         self._busy = False  # a frame is in backoff or on the air
         self._in_flight = False  # a frame has left the queue for the air
+        # The frame last put on the air.  At most one is on the air at a
+        # time, and reset() does not recall it, so _sent reads it here.
+        self._on_air = None
         # Client hooks
         self.on_receive = None  # fn(frame)
         self.on_send_done = None  # fn(payload)
@@ -105,10 +123,10 @@ class CsmaMac:
         if self._busy or not self._queue or not self.radio.is_on:
             return
         self._busy = True
-        delay = self._rng.uniform(
-            self.config.initial_backoff_min, self.config.initial_backoff_max
+        low, width = self._initial_window
+        self._pending_event = self.sim.schedule(
+            low + width * self._random(), self._attempt_cb
         )
-        self._pending_event = self.sim.schedule(delay, self._attempt)
 
     def _attempt(self):
         self._pending_event = None
@@ -118,22 +136,20 @@ class CsmaMac:
             return
         if self.channel.carrier_busy(radio.node_id):
             self.congestion_backoffs += 1
-            config = self.config
-            delay = self._rng.uniform(
-                config.congestion_backoff_min,
-                config.congestion_backoff_max,
+            low, width = self._congestion_window
+            self._pending_event = self.sim.schedule(
+                low + width * self._random(), self._attempt_cb
             )
-            self._pending_event = self.sim.schedule(delay, self._attempt)
             return
-        frame = self._queue.popleft()
+        frame = self._on_air = self._queue.popleft()
         self._in_flight = True
-        self.channel.transmit(self.radio, frame, on_done=lambda: self._sent(frame))
+        self.channel.transmit(radio, frame, on_done=self._sent_cb)
 
-    def _sent(self, frame):
+    def _sent(self):
         self._busy = False
         self._in_flight = False
         if self.on_send_done is not None:
-            self.on_send_done(frame.payload)
+            self.on_send_done(self._on_air.payload)
         self._pump()
 
     # ------------------------------------------------------------------

@@ -5,8 +5,8 @@ increasing tie-breaker, so simultaneous events execute in scheduling order
 and runs are fully deterministic.
 """
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 
 
 class Event:
@@ -50,6 +50,10 @@ class EventQueue:
     ``Event.__lt__`` call -- heap maintenance is the kernel's single
     hottest loop.  Cancellation is lazy: cancelled events stay in the
     heap and are discarded on pop, which keeps both operations O(log n).
+
+    :meth:`repro.sim.kernel.Simulator.schedule` inlines :meth:`push`
+    (the heap, counter and live count are its only state), so the
+    kernel's hottest call reaches the heap without a second Python call.
     """
 
     def __init__(self):
@@ -60,14 +64,14 @@ class EventQueue:
     def push(self, time, fn, args=()):
         """Insert a callback at absolute ``time``; returns the Event handle."""
         event = Event(time, next(self._counter), fn, args)
-        heapq.heappush(self._heap, (time, event.seq, event))
+        heappush(self._heap, (time, event.seq, event))
         self._live += 1
         return event
 
     def pop(self):
         """Remove and return the earliest non-cancelled event, or None."""
         while self._heap:
-            event = heapq.heappop(self._heap)[2]
+            event = heappop(self._heap)[2]
             if event.cancelled:
                 continue
             self._live -= 1
@@ -83,14 +87,12 @@ class EventQueue:
         access for the kernel's inner loop.
         """
         heap = self._heap
-        heappop = heapq.heappop
         while heap:
-            entry = heap[0]
-            event = entry[2]
+            time, _seq, event = heap[0]
             if event.cancelled:
                 heappop(heap)
                 continue
-            if until is not None and entry[0] > until:
+            if until is not None and time > until:
                 return None
             heappop(heap)
             self._live -= 1
@@ -102,7 +104,7 @@ class EventQueue:
         """Time of the earliest live event, or None if the queue is empty."""
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+            heappop(heap)
         return heap[0][0] if heap else None
 
     def __len__(self):

@@ -4,9 +4,11 @@ Time is measured in *milliseconds* as floats throughout the reproduction;
 helpers :data:`SECOND` and :data:`MINUTE` keep call sites readable.
 """
 
+import math
 import random
+from heapq import heappush
 
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 from repro.sim.tracing import Tracer
 
 SECOND = 1000.0
@@ -36,7 +38,9 @@ class Simulator:
         self.queue = EventQueue()
         self.tracer = Tracer(self)
         self._running = False
-        self._stopped = False
+        # The current run() call's stop requests: stop() appends, the
+        # loop tests the list (a local) after each event.
+        self._stop_requests = []
         self.events_executed = 0
 
     # ------------------------------------------------------------------
@@ -46,7 +50,13 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` milliseconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.queue.push(self.now + delay, fn, args)
+        # EventQueue.push, inlined: this is the kernel's hottest call.
+        time = self.now + delay
+        queue = self.queue
+        event = Event(time, next(queue._counter), fn, args)
+        heappush(queue._heap, (time, event.seq, event))
+        queue._live += 1
+        return event
 
     def schedule_at(self, time, fn, *args):
         """Run ``fn(*args)`` at absolute virtual time ``time``."""
@@ -74,18 +84,20 @@ class Simulator:
         Stops when the queue drains, when virtual time would pass ``until``
         (clock is then advanced exactly to ``until``), when ``max_events``
         have run, or when :meth:`stop` is called from inside an event.
-        Returns the number of events executed during this call.
+        Returns the number of events executed during this call;
+        :attr:`events_executed` is advanced by the same count (handlers
+        that raised excluded) when the call returns.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self._stopped = False
+        stop_requests = self._stop_requests = []
+        # The count never reaches -1, so None means "no limit".
+        limit = -1 if max_events is None else max(math.ceil(max_events), 0)
         executed = 0
         pop_due = self.queue.pop_due
         try:
-            while not self._stopped:
-                if max_events is not None and executed >= max_events:
-                    break
+            while executed != limit:
                 event = pop_due(until)
                 if event is None:
                     # Queue drained, or the earliest live event lies
@@ -97,9 +109,12 @@ class Simulator:
                 self.now = event.time
                 event.fn(*event.args)
                 executed += 1
-                self.events_executed += 1
+                if stop_requests:
+                    break
         finally:
+            # Settled once per call; a handler that raised is not counted.
             self._running = False
+            self.events_executed += executed
         return executed
 
     def run_until(self, predicate, check_every=1000.0, deadline=None):
@@ -147,8 +162,9 @@ class Simulator:
                 return predicate()
 
     def stop(self):
-        """Stop the event loop after the current event completes."""
-        self._stopped = True
+        """Stop the event loop after the current event completes (a no-op
+        outside :meth:`run`: each call starts with no stop requested)."""
+        self._stop_requests.append(True)
 
     def __repr__(self):
         return f"<Simulator t={self.now:.1f}ms pending={len(self.queue)}>"

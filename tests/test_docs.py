@@ -2,9 +2,11 @@
 
 Runs ``tools/check_docs.py`` — markdown link/anchor resolution plus the
 doc-drift lint (every CLI subcommand and every ``REPRO_*`` env var used
-in ``src/`` must be mentioned under ``docs/`` or ``README.md``) — so a
-new subcommand, env var, or renamed doc heading fails the test suite,
-not just the CI job.
+in ``src/`` must be mentioned under ``docs/`` or ``README.md``, and every
+``REPRO_*`` var those docs name must still be read by ``src/``,
+``benchmarks/`` or the Makefile) — so a new subcommand, env var, deleted
+env var, or renamed doc heading fails the test suite, not just the CI
+job.
 """
 
 import subprocess
@@ -22,18 +24,52 @@ def test_docs_check_is_clean():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_drift_lint_sees_current_surface():
-    """The lint's own inputs are non-trivial: it must enumerate every
-    CLI subcommand and the known env vars (a broken enumerator would
-    vacuously pass the drift check)."""
+def _check_docs():
     sys.path.insert(0, str(REPO / "tools"))
     try:
         import check_docs
     finally:
         sys.path.pop(0)
+    return check_docs
+
+
+def test_drift_lint_sees_current_surface():
+    """The lint's own inputs are non-trivial: it must enumerate every
+    CLI subcommand and the known env vars (a broken enumerator would
+    vacuously pass the drift check)."""
+    check_docs = _check_docs()
     commands = check_docs.repro_subcommands()
     assert {"run", "figure", "compare", "sweep", "chaos", "profile",
             "conformance"} <= set(commands)
     env_vars = check_docs.src_env_vars()
-    assert {"REPRO_SCALE", "REPRO_NO_VECTOR"} <= set(env_vars)
+    assert {"REPRO_SCALE", "REPRO_NO_LINK_CACHE"} <= set(env_vars)
     assert "REPRO_TEMPLATE" not in env_vars  # _REPRO_TEMPLATE identifier
+    # REPRO_CACHE is read only by the benchmark suite's conftest.
+    read = check_docs.read_env_vars()
+    assert "REPRO_CACHE" in read and "REPRO_CACHE" not in env_vars
+    assert set(env_vars) <= set(read)
+
+
+def test_env_lint_flags_var_used_in_src_but_undocumented():
+    check_docs = _check_docs()
+    problems = check_docs.env_var_drift(
+        "set REPRO_SCALE=smoke", used=["REPRO_SCALE", "REPRO_NEW_KNOB"],
+        read=["REPRO_SCALE", "REPRO_NEW_KNOB"])
+    assert len(problems) == 1
+    assert "REPRO_NEW_KNOB" in problems[0]
+    assert "documented nowhere" in problems[0]
+
+
+def test_env_lint_flags_documented_var_nothing_reads():
+    check_docs = _check_docs()
+    read = check_docs.read_env_vars()
+    corpus = ("`REPRO_SCALE=smoke` sizes the suite; `REPRO_NO_VECTOR=1` "
+              "forced the scalar channel; `REPRO_*` vars are refused")
+    problems = check_docs.env_var_drift(corpus, used=[], read=read)
+    assert len(problems) == 1
+    assert "REPRO_NO_VECTOR" in problems[0]
+    assert "nothing in src/, benchmarks/ or the Makefile reads it" \
+        in problems[0]
+    # A var read only outside src/ (the benchmark conftest) is fine.
+    assert check_docs.env_var_drift("REPRO_CACHE=0", used=[],
+                                    read=read) == []

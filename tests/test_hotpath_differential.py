@@ -82,7 +82,7 @@ class TestCarrierCounterDifferential:
             range_ft=20.0, frames_per_node=5)
         sim.run()
         assert not channel._active
-        assert all(count == 0 for count in channel._carrier.values())
+        assert all(count == 0 for count in channel._carrier)
 
 
 class TestGridIndexDifferential:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.radio.mac import MacConfig
 from repro.radio.packet import BROADCAST
+from repro.sim.rng import derive_rng
 from tests.conftest import make_world
 
 
@@ -132,3 +133,114 @@ def test_frames_queued_counter(world2):
     a.mac.send("x", 10)
     a.mac.send("y", 10)
     assert a.mac.frames_queued == 2
+
+
+# ----------------------------------------------------------------------
+# Backoff draws and a saturated-medium golden
+# ----------------------------------------------------------------------
+def _recording_schedules(sim, macs):
+    """Wrap ``sim.schedule`` to log each MAC backoff as
+    ``(node_id, window, delay)``; the window is told apart by whether the
+    MAC's congestion counter moved since its previous draw."""
+    log = []
+    seen_backoffs = {mac.radio.node_id: 0 for mac in macs}
+    by_attempt = {mac._attempt: mac for mac in macs}
+    schedule = sim.schedule
+
+    def recording(delay, fn, *args):
+        mac = by_attempt.get(fn)
+        if mac is not None:
+            node = mac.radio.node_id
+            window = ("congestion"
+                      if mac.congestion_backoffs > seen_backoffs[node]
+                      else "initial")
+            seen_backoffs[node] = mac.congestion_backoffs
+            log.append((node, window, delay))
+        return schedule(delay, fn, *args)
+
+    sim.schedule = recording
+    return log
+
+
+def test_backoff_delays_are_the_seeded_uniform_draws():
+    seed = 11
+    world = make_world([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)], seed=seed)
+    macs = [m.mac for m in world.motes]
+    log = _recording_schedules(world.sim, macs)
+    for m in world.motes:
+        m.radio.turn_on()
+    for i, m in enumerate(world.motes):
+        for k in range(4):
+            m.mac.send((i, k), 120)  # long frames: plenty of busy polls
+    world.sim.run()
+    windows = {w for _node, w, _delay in log}
+    assert windows == {"initial", "congestion"}
+    config = MacConfig()
+    bounds = {
+        "initial": (config.initial_backoff_min, config.initial_backoff_max),
+        "congestion": (config.congestion_backoff_min,
+                       config.congestion_backoff_max),
+    }
+    for m in world.motes:
+        node = m.radio.node_id
+        rng = derive_rng(seed, "mac", node)
+        draws = [(w, d) for n, w, d in log if n == node]
+        assert len(draws) >= 4
+        for window, delay in draws:
+            assert delay == rng.uniform(*bounds[window])  # bit for bit
+
+
+# A small seeded saturation run on the scalar channel: every MAC
+# broadcasts back to back until its budget drains.
+SATURATION_GOLDEN = {
+    "events": 3403,
+    "sim_ms": 2292.207094930688,
+    "transmissions": 432,
+    "collisions": 3063,
+    "bit_error_losses": 132,
+    "carrier_polls": 2971,
+    "congestion_backoffs": 2539,
+    "frames_received": 597,
+    "frames_corrupted": 3063,
+}
+
+
+def test_saturation_golden():
+    from repro.net.loss_models import EmpiricalLossModel
+    from repro.net.topology import Topology
+    from repro.profiling import _SaturatingSender
+    from repro.radio.channel import Channel
+    from repro.radio.mac import CsmaMac
+    from repro.radio.propagation import PropagationModel
+    from repro.radio.radio import Radio
+    from repro.sim.kernel import Simulator
+
+    seed = 3
+    sim = Simulator(seed=seed)
+    topology = Topology.grid(6, 6, 10.0)
+    channel = Channel(sim, topology, EmpiricalLossModel(seed=seed),
+                      PropagationModel(21.0, 3.0), seed=seed)
+    radios, macs, senders = [], [], []
+    for node_id in topology.node_ids():
+        radio = Radio(sim, node_id)
+        channel.attach(radio)
+        radio.turn_on()
+        mac = CsmaMac(sim, radio, channel, seed=seed)
+        radios.append(radio)
+        macs.append(mac)
+        senders.append(_SaturatingSender(mac, 12))
+    for sender in senders:
+        sender.start()
+    sim.run()
+    got = {
+        "events": sim.events_executed,
+        "sim_ms": sim.now,
+        "transmissions": channel.transmissions,
+        "collisions": channel.collisions,
+        "bit_error_losses": channel.bit_error_losses,
+        "carrier_polls": channel.carrier_polls,
+        "congestion_backoffs": sum(m.congestion_backoffs for m in macs),
+        "frames_received": sum(r.frames_received for r in radios),
+        "frames_corrupted": sum(r.frames_corrupted for r in radios),
+    }
+    assert got == SATURATION_GOLDEN

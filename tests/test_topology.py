@@ -86,3 +86,34 @@ def test_center_node_of_odd_grid():
 def test_diagonal_distance():
     topo = Topology.grid(2, 2, spacing_ft=10)
     assert topo.distance(0, 3) == pytest.approx(10 * math.sqrt(2))
+
+
+class TestMultiRadiusGridIndex:
+    def test_radius_classes_are_shared(self):
+        topo = Topology.grid(8, 8, 10.0)
+        # A power sweep's worth of distinct radii...
+        radii = [13.0, 16.0, 21.0, 25.0, 30.0, 31.9, 60.0]
+        for radius in radii:
+            for node in (0, 27, 63):
+                assert topo.nodes_within(node, radius) == \
+                    topo.nodes_within_linear(node, radius)
+        # ...lands on a logarithmic number of shared index classes.
+        assert set(topo._grid_indices) == {16.0, 32.0, 64.0}
+
+    def test_radius_class_quantization(self):
+        assert Topology.radius_class(13.0) == 16.0
+        assert Topology.radius_class(16.0) == 16.0
+        assert Topology.radius_class(16.1) == 32.0
+        assert Topology.radius_class(0.4) == 0.5
+
+    def test_random_topologies_match_linear_via_classes(self):
+        for trial in range(3):
+            rng = random.Random(100 + trial)
+            topo = Topology(
+                [(rng.uniform(0, 150.0), rng.uniform(0, 150.0))
+                 for _ in range(40)]
+            )
+            for radius in (7.3, 19.0, 33.3, 90.0):
+                for node in topo.node_ids():
+                    assert topo.nodes_within(node, radius) == \
+                        topo.nodes_within_linear(node, radius)

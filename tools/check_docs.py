@@ -18,7 +18,10 @@ Two families of checks, both offline and dependency-free:
      ``_REPRO_TEMPLATE`` do not count).
 
    A mention anywhere under ``docs/`` or in ``README.md`` satisfies the
-   lint.
+   lint.  In the other direction, every ``REPRO_*`` variable those docs
+   name must still be read by something: code under ``src/`` or
+   ``benchmarks/``, or the ``Makefile``.  A variable whose reader was
+   deleted fails the lint until its docs go too.
 
 Exit status 0 when clean, 1 with one ``file: problem`` line per finding.
 """
@@ -130,11 +133,41 @@ def repro_subcommands():
     raise AssertionError("repro.cli._build_parser() has no subcommands")
 
 
-def src_env_vars():
+def _env_vars_in(paths):
     names = set()
-    for path in (REPO / "src").rglob("*.py"):
+    for path in paths:
         names.update(_ENV_RE.findall(path.read_text(encoding="utf-8")))
     return sorted(names)
+
+
+def src_env_vars():
+    return _env_vars_in((REPO / "src").rglob("*.py"))
+
+
+def read_env_vars():
+    """``REPRO_*`` vars named where they can be read: ``src/``,
+    ``benchmarks/`` and the Makefile."""
+    return _env_vars_in([*(REPO / "src").rglob("*.py"),
+                         *(REPO / "benchmarks").rglob("*.py"),
+                         REPO / "Makefile"])
+
+
+def env_var_drift(corpus, used, read):
+    """Env-var findings for a doc ``corpus``: vars in ``used`` (read in
+    src/) it never mentions, and vars it names that nothing in ``read``
+    (src/, benchmarks/, Makefile) reads."""
+    problems = []
+    for var in used:
+        if var not in corpus:
+            problems.append(
+                f"docs drift: env var {var} (used in src/) is documented "
+                f"nowhere under docs/ or README.md")
+    for var in sorted(set(_ENV_RE.findall(corpus)) - set(read)):
+        problems.append(
+            f"docs drift: env var {var} is documented under docs/ or "
+            f"README.md but nothing in src/, benchmarks/ or the Makefile "
+            f"reads it")
+    return problems
 
 
 def check_drift():
@@ -145,11 +178,7 @@ def check_drift():
             problems.append(
                 f"docs drift: `python -m repro {command}` is documented "
                 f"nowhere under docs/ or README.md")
-    for var in src_env_vars():
-        if var not in corpus:
-            problems.append(
-                f"docs drift: env var {var} (used in src/) is documented "
-                f"nowhere under docs/ or README.md")
+    problems += env_var_drift(corpus, src_env_vars(), read_env_vars())
     return problems
 
 
