@@ -16,20 +16,17 @@ Eleven commands cover the common workflows:
                  rates and prints loss x protocol tables;
 * ``chaos``   -- disseminate under injected faults (:mod:`repro.faults`)
                  across a protocol x fault-class matrix, with the
-                 invariant watchdog attached; cached and parallel like
-                 ``sweep``;
+                 invariant watchdog attached;
 * ``adversary`` -- disseminate with the secure OTA pipeline armed while
                  an in-channel adversary forges advertisements, replays
                  stale manifests, tampers payloads, and swaps segments
-                 (:mod:`repro.experiments.adversary`); exits 1 if any
-                 node installs a tampered or rolled-back image;
+                 (:mod:`repro.experiments.adversary`);
 * ``profile`` -- run the hot-path profiling workloads
                  (:mod:`repro.profiling`) and report events/sec,
                  wall-clock, and channel counters (text or JSON);
 * ``conformance`` -- fuzz a budget of generated scenarios against the
-                 oracle registry (:mod:`repro.conformance`), shrink any
-                 failure to a minimal replayable spec, and exit 1 if a
-                 violation survives;
+                 oracle registry (:mod:`repro.conformance`) and shrink
+                 any failure to a minimal replayable spec;
 * ``serve``   -- run the long-lived dissemination service
                  (:mod:`repro.service`): an HTTP/JSON control plane that
                  deduplicates submissions through the content-hash
@@ -41,6 +38,22 @@ Eleven commands cover the common workflows:
                  jobs against a service (or a self-hosted one) and
                  report latency percentiles, throughput, and the
                  cache-hit ratio (conventionally ``BENCH_service.json``).
+
+The runner-backed commands (``sweep``, ``chaos``, ``adversary``,
+``conformance``) share five flags: ``--workers N`` (0/1 = serial),
+``--cache-dir DIR`` (default ``benchmarks/cache``), ``--no-cache``,
+``--json`` and ``--quiet`` (no progress lines on stderr).  ``chaos`` and
+``adversary`` also share the deployment flags ``--grid`` (6x6),
+``--segments`` (2), ``--segment-packets`` (32), ``--seed`` (0) and
+``--deadline-min`` (240).  ``sweep``, ``chaos`` and ``adversary`` run
+one matrix driver: build the spec product, run it, print a table or
+JSON.
+
+Exit codes: 0 ok; 1 an invariant or oracle violation (a chaos or
+adversary run breached the watchdog, a conformance oracle failed, a
+``run`` missed full coverage); 2 bad input (an unknown protocol, fault
+class, attack class or workload, or a fraction outside [0, 1]), checked
+before anything runs; 3 a cache miss under ``sweep --require-cached``.
 
 Examples::
 
@@ -117,6 +130,18 @@ def _parse_loss(text):
     return pcts
 
 
+def _parse_fraction(text):
+    """Intensities and fractions: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a number in [0, 1], got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -124,7 +149,35 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags of the runner-backed commands: sweep, chaos, adversary and
+    # conformance.
+    runner_p = argparse.ArgumentParser(add_help=False)
+    runner_p.add_argument("--workers", type=int, default=0,
+                          help="worker processes; 0/1 = serial (default 0)")
+    runner_p.add_argument("--cache-dir", default="benchmarks/cache",
+                          help="manifest directory "
+                               "(default benchmarks/cache)")
+    runner_p.add_argument("--no-cache", action="store_true",
+                          help="always re-simulate; write nothing")
+    runner_p.add_argument("--json", action="store_true",
+                          help="emit JSON instead of text")
+    runner_p.add_argument("--quiet", action="store_true",
+                          help="suppress progress/heartbeat lines")
+
+    # The deployment flags chaos and adversary share.
+    deploy_p = argparse.ArgumentParser(add_help=False)
+    deploy_p.add_argument("--grid", type=_parse_grid, default=(6, 6),
+                          metavar="RxC", help="grid shape (default 6x6)")
+    deploy_p.add_argument("--segments", type=int, default=2,
+                          help="program size in segments (default 2)")
+    deploy_p.add_argument("--segment-packets", type=int, default=32,
+                          help="packets per segment (default 32)")
+    deploy_p.add_argument("--seed", type=int, default=0)
+    deploy_p.add_argument("--deadline-min", type=float, default=240.0,
+                          help="simulated deadline in minutes (default 240)")
+
     run_p = sub.add_parser("run", help="run one dissemination")
+    run_p.set_defaults(handler=_cmd_run)
     run_p.add_argument("--grid", type=_parse_grid, default=(10, 10),
                        metavar="RxC", help="grid shape (default 10x10)")
     run_p.add_argument("--spacing", type=float, default=10.0,
@@ -149,12 +202,14 @@ def _build_parser():
 
     fig_p = sub.add_parser("figure",
                            help="regenerate a table/figure of the paper")
+    fig_p.set_defaults(handler=_cmd_figure)
     fig_p.add_argument("name", help="e.g. table1, fig5..fig13, sec5, "
                                     "ablations (or 'list')")
     fig_p.add_argument("--seed", type=int, default=1)
 
     cmp_p = sub.add_parser("compare",
                            help="run protocols on identical channels")
+    cmp_p.set_defaults(handler=_cmd_compare)
     cmp_p.add_argument("protocols", nargs="+",
                        help="two or more of: mnp deluge moap xnp flood")
     cmp_p.add_argument("--grid", type=_parse_grid, default=(8, 8),
@@ -163,8 +218,9 @@ def _build_parser():
     cmp_p.add_argument("--seed", type=int, default=0)
 
     swp_p = sub.add_parser(
-        "sweep",
+        "sweep", parents=[runner_p],
         help="replicate runs across seeds on a parallel, cached fleet")
+    swp_p.set_defaults(handler=_cmd_sweep)
     swp_p.add_argument("--experiment", default="grid",
                        choices=("grid", "coding"),
                        help="grid: seed replication of one protocol; "
@@ -191,87 +247,42 @@ def _build_parser():
                        help="override the scale's segment count")
     swp_p.add_argument("--segment-packets", type=int, default=None,
                        help="override the scale's packets per segment")
-    swp_p.add_argument("--workers", type=int, default=0,
-                       help="worker processes; 0/1 = serial (default 0)")
-    swp_p.add_argument("--cache-dir", default="benchmarks/cache",
-                       help="manifest directory (default benchmarks/cache)")
-    swp_p.add_argument("--no-cache", action="store_true",
-                       help="always re-simulate; write nothing")
     swp_p.add_argument("--require-cached", action="store_true",
                        help="fail (exit 3) if any spec misses the cache")
-    swp_p.add_argument("--json", action="store_true",
-                       help="emit per-seed metrics as JSON")
-    swp_p.add_argument("--quiet", action="store_true",
-                       help="suppress progress/heartbeat lines")
 
     cha_p = sub.add_parser(
-        "chaos",
+        "chaos", parents=[deploy_p, runner_p],
         help="disseminate under injected faults, with invariant watchdog")
+    cha_p.set_defaults(handler=_cmd_chaos)
     cha_p.add_argument("--protocols", default="mnp,deluge",
                        help="comma list of protocols (default mnp,deluge)")
     cha_p.add_argument("--fault-classes", default=None, dest="fault_classes",
                        help="comma list of fault classes "
                             "(default: all of crash,eeprom,link)")
-    cha_p.add_argument("--intensity", type=float, default=0.5,
+    cha_p.add_argument("--intensity", type=_parse_fraction, default=0.5,
                        help="fault intensity in [0,1] (default 0.5)")
-    cha_p.add_argument("--grid", type=_parse_grid, default=(6, 6),
-                       metavar="RxC", help="grid shape (default 6x6)")
-    cha_p.add_argument("--segments", type=int, default=2,
-                       help="program size in segments (default 2)")
-    cha_p.add_argument("--segment-packets", type=int, default=32,
-                       help="packets per segment (default 32)")
-    cha_p.add_argument("--seed", type=int, default=0)
-    cha_p.add_argument("--deadline-min", type=float, default=240.0,
-                       help="simulated deadline in minutes (default 240)")
-    cha_p.add_argument("--workers", type=int, default=0,
-                       help="worker processes; 0/1 = serial (default 0)")
-    cha_p.add_argument("--cache-dir", default="benchmarks/cache",
-                       help="manifest directory (default benchmarks/cache)")
-    cha_p.add_argument("--no-cache", action="store_true",
-                       help="always re-simulate; write nothing")
-    cha_p.add_argument("--json", action="store_true",
-                       help="emit the full matrix as JSON")
-    cha_p.add_argument("--quiet", action="store_true",
-                       help="suppress progress/heartbeat lines")
 
     adv_p = sub.add_parser(
-        "adversary",
+        "adversary", parents=[deploy_p, runner_p],
         help="disseminate under attack with the secure OTA pipeline armed")
+    adv_p.set_defaults(handler=_cmd_adversary)
     adv_p.add_argument("--protocols", default="mnp,coded_mnp",
                        help="comma list of protocols "
                             "(default mnp,coded_mnp)")
     adv_p.add_argument("--attacks", default=None,
                        help="comma list of attack classes (default: all of "
                             "forge,replay,tamper,swap,blended)")
-    adv_p.add_argument("--intensity", type=float, default=0.5,
+    adv_p.add_argument("--intensity", type=_parse_fraction, default=0.5,
                        help="attack intensity in [0,1] (default 0.5)")
     adv_p.add_argument("--insecure", action="store_true",
                        help="disarm the secure pipeline (demonstrates what "
                             "the attacks do to a stock network)")
-    adv_p.add_argument("--grid", type=_parse_grid, default=(6, 6),
-                       metavar="RxC", help="grid shape (default 6x6)")
-    adv_p.add_argument("--segments", type=int, default=2,
-                       help="program size in segments (default 2)")
-    adv_p.add_argument("--segment-packets", type=int, default=32,
-                       help="packets per segment (default 32)")
-    adv_p.add_argument("--seed", type=int, default=0)
-    adv_p.add_argument("--deadline-min", type=float, default=240.0,
-                       help="simulated deadline in minutes (default 240)")
-    adv_p.add_argument("--workers", type=int, default=0,
-                       help="worker processes; 0/1 = serial (default 0)")
-    adv_p.add_argument("--cache-dir", default="benchmarks/cache",
-                       help="manifest directory (default benchmarks/cache)")
-    adv_p.add_argument("--no-cache", action="store_true",
-                       help="always re-simulate; write nothing")
-    adv_p.add_argument("--json", action="store_true",
-                       help="emit the full matrix as JSON")
-    adv_p.add_argument("--quiet", action="store_true",
-                       help="suppress progress/heartbeat lines")
 
     prof_p = sub.add_parser(
         "profile",
         help="profile hot-path events/sec "
              "(saturation + dissemination; megagrid for 100x100)")
+    prof_p.set_defaults(handler=_cmd_profile)
     prof_p.add_argument("--grid", type=_parse_grid, default=None,
                         metavar="RxC",
                         help="grid shape (default: per workload -- 20x20, "
@@ -294,41 +305,35 @@ def _build_parser():
                         help="also write the JSON report to PATH")
 
     conf_p = sub.add_parser(
-        "conformance",
+        "conformance", parents=[runner_p],
         help="fuzz generated scenarios against the oracle registry")
+    conf_p.set_defaults(handler=_cmd_conformance)
     conf_p.add_argument("--budget", type=int, default=50,
                         help="number of scenarios to generate (default 50)")
     conf_p.add_argument("--seed", type=int, default=0,
                         help="generator master seed (default 0)")
-    conf_p.add_argument("--fault-fraction", type=float, default=0.3,
+    conf_p.add_argument("--fault-fraction", type=_parse_fraction,
+                        default=0.3,
                         help="fraction of scenarios with fault plans "
                              "(default 0.3)")
-    conf_p.add_argument("--security-fraction", type=float, default=0.0,
+    conf_p.add_argument("--security-fraction", type=_parse_fraction,
+                        default=0.0,
                         help="fraction of scenarios run with the secure "
                              "OTA pipeline enabled, each fanning out an "
                              "adversarial twin (default 0.0)")
-    conf_p.add_argument("--workers", type=int, default=0,
-                        help="worker processes; 0/1 = serial (default 0)")
-    conf_p.add_argument("--cache-dir", default="benchmarks/cache",
-                        help="manifest directory (default benchmarks/cache)")
-    conf_p.add_argument("--no-cache", action="store_true",
-                        help="always re-simulate; write nothing")
     conf_p.add_argument("--no-shrink", action="store_true",
                         help="report failures without minimising them")
     conf_p.add_argument("--artifact-dir", default="tests/corpus/failures",
                         metavar="DIR",
                         help="where shrunk failure artifacts are written "
                              "(default tests/corpus/failures)")
-    conf_p.add_argument("--json", action="store_true",
-                        help="emit the full verdict manifest as JSON")
     conf_p.add_argument("--output", default=None, metavar="PATH",
                         help="also write the verdict JSON to PATH")
-    conf_p.add_argument("--quiet", action="store_true",
-                        help="suppress progress/heartbeat lines")
 
     srv_p = sub.add_parser(
         "serve",
         help="run the long-lived dissemination service (HTTP/JSON)")
+    srv_p.set_defaults(handler=_cmd_serve)
     srv_p.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     srv_p.add_argument("--port", type=int, default=8750,
@@ -354,6 +359,7 @@ def _build_parser():
     sbm_p = sub.add_parser(
         "submit",
         help="submit one job to a running service and await the result")
+    sbm_p.set_defaults(handler=_cmd_submit)
     sbm_p.add_argument("--url", default="127.0.0.1:8750",
                        help="service address (default 127.0.0.1:8750)")
     sbm_p.add_argument("--experiment", default="probe",
@@ -385,6 +391,7 @@ def _build_parser():
         "loadgen",
         help="seeded multi-client burst against a service; "
              "records BENCH_service.json-style metrics")
+    ldg_p.set_defaults(handler=_cmd_loadgen)
     ldg_p.add_argument("--url", default=None,
                        help="target service; omitted = self-host one "
                             "in-process for the burst")
@@ -392,8 +399,8 @@ def _build_parser():
                        help="concurrent clients (default 8)")
     ldg_p.add_argument("--jobs", type=int, default=32,
                        help="total submissions across clients (default 32)")
-    ldg_p.add_argument("--duplicate-fraction", type=float, default=0.5,
-                       dest="duplicate_fraction",
+    ldg_p.add_argument("--duplicate-fraction", type=_parse_fraction,
+                       default=0.5, dest="duplicate_fraction",
                        help="fraction of submissions duplicating an "
                             "earlier payload (default 0.5)")
     ldg_p.add_argument("--seed", type=int, default=0,
@@ -420,6 +427,116 @@ def _build_parser():
 
 
 # ----------------------------------------------------------------------
+# Shared plumbing
+# ----------------------------------------------------------------------
+class _BadInput(Exception):
+    """A user-supplied name outside its known set; :func:`main` prints
+    the message and exits 2 before anything has run."""
+
+
+def _check(args, what, names, known):
+    """``names``, or :class:`_BadInput` if one is not in ``known`` or
+    there are none."""
+    unknown = [name for name in names if name not in known]
+    if unknown or not names:
+        raise _BadInput(
+            f"repro {args.command}: error: unknown {what} "
+            f"{', '.join(unknown) or '(none given)'}; "
+            f"known: {', '.join(known)}")
+    return names
+
+
+def _choose(args, what, text, known, default=()):
+    """The names of the comma list ``text`` (``default`` when it is
+    empty), checked against ``known``."""
+    names = [name.strip() for name in text.split(",") if name.strip()] \
+        if text else list(default)
+    return _check(args, what, names, known)
+
+
+def _known_protocols():
+    import repro.baselines  # noqa: F401  (registers the baselines)
+    from repro.experiments.common import PROTOCOLS
+
+    return sorted(PROTOCOLS)
+
+
+def _progress(args):
+    """The stderr progress sink, or None under ``--quiet``."""
+    if args.quiet:
+        return None
+    return lambda line: print(line, file=sys.stderr, flush=True)
+
+
+def _watchdog_cell(metrics):
+    wd = metrics["watchdog"]
+    if wd["violations"]:
+        return f"VIOLATED({len(wd['violations'])})"
+    if wd["stalls"]:
+        return f"stalled({len(wd['stalls'])})"
+    return "ok"
+
+
+def _drive(args, out, runs, header, render, breach=None, cache_stats=False):
+    """Run one experiment matrix and report it; returns the exit code.
+
+    ``runs`` is the spec product as ``[(axes, spec)]``: ``axes`` place a
+    run in the matrix and lead its JSON entry, after the ``header``
+    fields.  ``render(done)`` turns ``[(axes, metrics)]`` into the text
+    report: a list of ``(columns, rows, title)`` tables and a list of
+    footnote lines.  ``breach`` names the invariants the watchdog
+    guards; when set, runs with watchdog violations are counted in the
+    footnotes and exit 1.  ``cache_stats`` adds the runner's cache
+    hits/misses and elapsed time to both reports.
+    """
+    import json
+
+    from repro.metrics.reports import format_table
+    from repro.runner import Runner
+
+    specs = [spec for _, spec in runs]
+    runner = Runner(
+        workers=args.workers,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        progress=_progress(args),
+    )
+    if getattr(args, "require_cached", False):
+        missing = [s for s in specs if runner.load_cached(s) is None]
+        if missing:
+            out.write(
+                f"{len(missing)}/{len(specs)} spec(s) not cached "
+                f"(first: {missing[0].label()})\n"
+            )
+            return 3
+    results = runner.run(specs)
+    stats = runner.stats
+    violating = sum(1 for m in results if m["watchdog"]["violations"]) \
+        if breach else 0
+    if args.json:
+        payload = dict(header)
+        if cache_stats:
+            payload["cache"] = {"hits": stats.hits, "misses": stats.misses}
+            payload["elapsed_s"] = stats.elapsed_s
+        payload["runs"] = [
+            {**axes, "key": spec.cache_key(), "metrics": metrics}
+            for (axes, spec), metrics in zip(runs, results)
+        ]
+        out.write(json.dumps(payload, indent=2) + "\n")
+    else:
+        tables, notes = render(
+            [(axes, metrics) for (axes, _), metrics in zip(runs, results)])
+        for columns, rows, title in tables:
+            out.write(format_table(columns, rows, title=title) + "\n")
+        if violating:
+            notes.append(f"{violating} run(s) breached {breach}")
+        if cache_stats:
+            notes.append(f"cache: {stats.hits} hit(s), {stats.misses} "
+                         f"miss(es) ({stats.elapsed_s:.1f}s total)")
+        out.writelines(f"  {note}\n" for note in notes)
+    return 1 if violating else 0
+
+
+# ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
 def _cmd_run(args, out):
@@ -431,6 +548,7 @@ def _cmd_run(args, out):
     from repro.net.topology import Topology
     from repro.radio.propagation import PropagationModel
 
+    _check(args, "protocol(s)", [args.protocol], _known_protocols())
     rows, cols = args.grid
     topo = Topology.grid(rows, cols, args.spacing)
     image = CodeImage.random(1, n_segments=args.segments,
@@ -477,378 +595,203 @@ def _cmd_run(args, out):
     return 0 if result.coverage == 1.0 else 1
 
 
-def _sweep_runner(args):
-    import sys as _sys
-
-    from repro.runner import Runner
-
-    progress = None if args.quiet else \
-        (lambda line: print(line, file=_sys.stderr, flush=True))
-    return Runner(
-        workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        progress=progress,
-    )
-
-
-def _cmd_sweep_coding(args, out):
-    from repro.experiments.coding import CODING_PROTOCOLS, LOSS_PCTS
+def _sweep_deployment(args):
+    """The scale name and the grid/image overrides both sweeps share."""
     from repro.experiments.scale import current_scale, get_scale
-    from repro.metrics.reports import format_table
-    from repro.runner import RunSpec
 
     scale = get_scale(args.scale) if args.scale else current_scale()
-    protocols = (
-        [p.strip() for p in args.protocols.split(",") if p.strip()]
-        if args.protocols else list(CODING_PROTOCOLS)
-    )
-    loss_pcts = args.loss if args.loss else list(LOSS_PCTS)
     rows, cols = args.grid if args.grid else (None, None)
-    specs = [
-        RunSpec(
-            "coding", protocol=protocol, scale=scale.name, seed=seed,
-            loss_pct=loss_pct, rows=rows, cols=cols,
-            n_segments=args.segments, segment_packets=args.segment_packets,
-        )
+    return dict(scale=scale.name, rows=rows, cols=cols,
+                n_segments=args.segments,
+                segment_packets=args.segment_packets)
+
+
+def _cmd_sweep(args, out):
+    if args.experiment == "coding":
+        return _sweep_coding(args, out)
+    from repro.experiments.replication import MetricStats
+    from repro.runner import RunSpec
+
+    _check(args, "protocol(s)", [args.protocol], _known_protocols())
+    deployment = _sweep_deployment(args)
+    runs = [
+        ({"seed": seed},
+         RunSpec("grid", protocol=args.protocol, seed=seed, **deployment))
+        for seed in args.seeds
+    ]
+    metric_keys = ("coverage", "completion_s", "art_s", "collisions",
+                   "messages_sent", "mean_energy_nah")
+
+    def _cell(value):
+        if value is None:
+            return "-"
+        return f"{value:.1f}" if isinstance(value, float) else value
+
+    def render(done):
+        rows = [[axes["seed"]] + [_cell(m.get(k)) for k in metric_keys]
+                for axes, m in done]
+        title = (f"Sweep: {args.protocol} at scale={deployment['scale']}, "
+                 f"{len(done)} seed(s), {args.workers} worker(s)")
+        notes = []
+        for key in ("completion_s", "art_s", "collisions"):
+            stats = MetricStats(key, [m.get(key) for _, m in done])
+            if stats.mean is not None:
+                notes.append(f"{key}: mean {stats.mean:.1f} "
+                             f"+/- {stats.stdev:.1f} "
+                             f"[{stats.min:.1f}, {stats.max:.1f}]")
+        return [(["seed", *metric_keys], rows, title)], notes
+
+    return _drive(args, out, runs, render=render, cache_stats=True,
+                  header={"protocol": args.protocol,
+                          "scale": deployment["scale"]})
+
+
+def _sweep_coding(args, out):
+    from repro.experiments.coding import CODING_PROTOCOLS, LOSS_PCTS
+    from repro.runner import RunSpec
+
+    protocols = _choose(args, "protocol(s)", args.protocols,
+                        _known_protocols(), default=CODING_PROTOCOLS)
+    loss_pcts = args.loss if args.loss else list(LOSS_PCTS)
+    deployment = _sweep_deployment(args)
+    runs = [
+        ({"protocol": protocol, "loss_pct": loss_pct, "seed": seed},
+         RunSpec("coding", protocol=protocol, seed=seed, loss_pct=loss_pct,
+                 **deployment))
         for protocol in protocols
         for loss_pct in loss_pcts
         for seed in args.seeds
     ]
-    runner = _sweep_runner(args)
-    if args.require_cached:
-        missing = [s for s in specs if runner.load_cached(s) is None]
-        if missing:
-            out.write(
-                f"{len(missing)}/{len(specs)} spec(s) not cached "
-                f"(first: {missing[0].label()})\n"
-            )
-            return 3
-    results = runner.run(specs)
-    cells = {}
-    for spec, metrics in zip(specs, results):
-        cell = (spec.protocol, spec.overrides["loss_pct"])
-        cells.setdefault(cell, []).append(metrics)
 
-    def _mean(cell, key):
-        values = [m[key] for m in cells[cell] if m.get(key) is not None]
-        return sum(values) / len(values) if values else None
+    def render(done):
+        cells = {}
+        for axes, m in done:
+            cells.setdefault((axes["protocol"], axes["loss_pct"]),
+                             []).append(m)
 
-    if args.json:
-        import json
+        def _mean(cell, key):
+            values = [m[key] for m in cells[cell] if m.get(key) is not None]
+            return sum(values) / len(values) if values else None
 
-        payload = {
-            "experiment": "coding",
-            "protocols": protocols,
-            "loss_pcts": loss_pcts,
-            "seeds": args.seeds,
-            "cache": {"hits": runner.stats.hits,
-                      "misses": runner.stats.misses},
-            "elapsed_s": runner.stats.elapsed_s,
-            "runs": [
-                {"protocol": spec.protocol,
-                 "loss_pct": spec.overrides["loss_pct"],
-                 "seed": spec.seed, "key": spec.cache_key(),
-                 "metrics": metrics}
-                for spec, metrics in zip(specs, results)
-            ],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-        return 0
-    for key, title in (("messages_sent", "mean messages sent"),
-                       ("mean_energy_nah", "mean energy (nAh/node)")):
-        table_rows = []
-        for loss_pct in loss_pcts:
-            row = [f"{loss_pct}%"]
-            for protocol in protocols:
-                value = _mean((protocol, loss_pct), key)
-                row.append("-" if value is None else f"{value:.0f}")
-            table_rows.append(row)
-        out.write(format_table(
-            ["loss"] + protocols, table_rows,
-            title=(f"Coding sweep ({title}): "
-                   f"{len(args.seeds)} seed(s) per cell"),
-        ) + "\n")
-    incomplete = sum(
-        1 for m in results if m.get("coverage", 0.0) < 1.0
-    )
-    if incomplete:
-        out.write(f"  WARNING: {incomplete} run(s) did not reach "
-                  f"full coverage before the deadline\n")
-    out.write(
-        f"  cache: {runner.stats.hits} hit(s), "
-        f"{runner.stats.misses} miss(es) "
-        f"({runner.stats.elapsed_s:.1f}s total)\n"
-    )
-    return 0
+        tables = []
+        for key, what in (("messages_sent", "mean messages sent"),
+                          ("mean_energy_nah", "mean energy (nAh/node)")):
+            rows = []
+            for loss_pct in loss_pcts:
+                row = [f"{loss_pct}%"]
+                for protocol in protocols:
+                    value = _mean((protocol, loss_pct), key)
+                    row.append("-" if value is None else f"{value:.0f}")
+                rows.append(row)
+            tables.append((["loss", *protocols], rows,
+                           f"Coding sweep ({what}): "
+                           f"{len(args.seeds)} seed(s) per cell"))
+        incomplete = sum(1 for _, m in done if m.get("coverage", 0.0) < 1.0)
+        notes = [f"WARNING: {incomplete} run(s) did not reach full "
+                 f"coverage before the deadline"] if incomplete else []
+        return tables, notes
 
-
-def _cmd_sweep(args, out):
-    from repro.experiments.replication import MetricStats
-    from repro.experiments.scale import current_scale, get_scale
-    from repro.metrics.reports import format_table
-    from repro.runner import RunSpec
-
-    if args.experiment == "coding":
-        return _cmd_sweep_coding(args, out)
-    scale = get_scale(args.scale) if args.scale else current_scale()
-    rows, cols = args.grid if args.grid else (None, None)
-    specs = [
-        RunSpec(
-            "grid", protocol=args.protocol, scale=scale.name, seed=seed,
-            rows=rows, cols=cols, n_segments=args.segments,
-            segment_packets=args.segment_packets,
-        )
-        for seed in args.seeds
-    ]
-    runner = _sweep_runner(args)
-    if args.require_cached:
-        missing = [s for s in specs if runner.load_cached(s) is None]
-        if missing:
-            out.write(
-                f"{len(missing)}/{len(specs)} spec(s) not cached "
-                f"(first: {missing[0].label()})\n"
-            )
-            return 3
-    results = runner.run(specs)
-    metric_keys = ("coverage", "completion_s", "art_s", "collisions",
-                   "messages_sent", "mean_energy_nah")
-    if args.json:
-        import json
-
-        payload = {
-            "protocol": args.protocol,
-            "scale": scale.name,
-            "cache": {"hits": runner.stats.hits,
-                      "misses": runner.stats.misses},
-            "elapsed_s": runner.stats.elapsed_s,
-            "runs": [
-                {"seed": spec.seed, "key": spec.cache_key(),
-                 "metrics": metrics}
-                for spec, metrics in zip(specs, results)
-            ],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        def _cell(value):
-            if value is None:
-                return "-"
-            return f"{value:.1f}" if isinstance(value, float) else value
-
-        table_rows = [
-            [spec.seed] + [_cell(metrics.get(k)) for k in metric_keys]
-            for spec, metrics in zip(specs, results)
-        ]
-        out.write(format_table(
-            ["seed"] + list(metric_keys), table_rows,
-            title=(f"Sweep: {args.protocol} at scale={scale.name}, "
-                   f"{len(specs)} seed(s), {args.workers} worker(s)"),
-        ) + "\n")
-        for key in ("completion_s", "art_s", "collisions"):
-            stats = MetricStats(key, [m.get(key) for m in results])
-            if stats.mean is not None:
-                out.write(f"  {key}: mean {stats.mean:.1f} "
-                          f"+/- {stats.stdev:.1f} "
-                          f"[{stats.min:.1f}, {stats.max:.1f}]\n")
-        out.write(
-            f"  cache: {runner.stats.hits} hit(s), "
-            f"{runner.stats.misses} miss(es) "
-            f"({runner.stats.elapsed_s:.1f}s total)\n"
-        )
-    return 0
+    return _drive(args, out, runs, render=render, cache_stats=True,
+                  header={"experiment": "coding", "protocols": protocols,
+                          "loss_pcts": loss_pcts, "seeds": args.seeds})
 
 
 def _cmd_chaos(args, out):
-    import sys as _sys
-
     from repro.experiments.chaos import FAULT_CLASSES
-    from repro.metrics.reports import format_table
-    from repro.runner import RunSpec, Runner
+    from repro.runner import RunSpec
 
-    protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    classes = (
-        [c.strip() for c in args.fault_classes.split(",") if c.strip()]
-        if args.fault_classes else list(FAULT_CLASSES)
-    )
-    unknown = [c for c in classes if c not in FAULT_CLASSES]
-    if unknown or not classes or not protocols:
-        _sys.stderr.write(
-            f"repro chaos: error: unknown fault class(es) "
-            f"{', '.join(unknown) or '(none given)'}; "
-            f"known: {', '.join(FAULT_CLASSES)}\n"
-        )
-        return 2
+    classes = _choose(args, "fault class(es)", args.fault_classes,
+                      FAULT_CLASSES, default=FAULT_CLASSES)
+    protocols = _choose(args, "protocol(s)", args.protocols,
+                        _known_protocols())
     rows, cols = args.grid
-    specs = [
-        RunSpec(
-            "chaos", protocol=protocol, seed=args.seed,
-            fault_class=fault_class, intensity=args.intensity,
-            rows=rows, cols=cols, n_segments=args.segments,
-            segment_packets=args.segment_packets,
-            deadline_min=args.deadline_min,
-        )
+    runs = [
+        ({"protocol": protocol, "fault_class": fault_class},
+         RunSpec("chaos", protocol=protocol, seed=args.seed,
+                 fault_class=fault_class, intensity=args.intensity,
+                 rows=rows, cols=cols, n_segments=args.segments,
+                 segment_packets=args.segment_packets,
+                 deadline_min=args.deadline_min))
         for protocol in protocols
         for fault_class in classes
     ]
-    progress = None if args.quiet else \
-        (lambda line: print(line, file=_sys.stderr, flush=True))
-    runner = Runner(
-        workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        progress=progress,
-    )
-    results = runner.run(specs)
-    violating = sum(
-        1 for m in results if m["watchdog"]["violations"]
-    )
-    if args.json:
-        import json
 
-        payload = {
-            "intensity": args.intensity,
-            "grid": f"{rows}x{cols}",
-            "seed": args.seed,
-            "runs": [
-                {"protocol": spec.protocol,
-                 "fault_class": spec.overrides["fault_class"],
-                 "key": spec.cache_key(),
-                 "metrics": metrics}
-                for spec, metrics in zip(specs, results)
-            ],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-        return 1 if violating else 0
-    table_rows = []
-    for spec, m in zip(specs, results):
-        wd = m["watchdog"]
-        if wd["violations"]:
-            verdict = f"VIOLATED({len(wd['violations'])})"
-        elif wd["stalls"]:
-            verdict = f"stalled({len(wd['stalls'])})"
-        else:
-            verdict = "ok"
-        if wd["warnings"]:
-            verdict += f" +{len(wd['warnings'])}w"
-        table_rows.append([
-            spec.protocol, spec.overrides["fault_class"],
-            f"{m['survivor_coverage']:.0%}",
-            "-" if m["completion_s"] is None
-            else f"{m['completion_s']:.1f}",
-            m["fails"], m["corrupt_images"], m["messages_sent"], verdict,
-        ])
-    out.write(format_table(
-        ["protocol", "fault", "coverage", "completion_s", "fails",
-         "corrupt", "messages", "watchdog"],
-        table_rows,
-        title=(f"Chaos: {rows}x{cols} grid, intensity {args.intensity}, "
-               f"seed {args.seed}"),
-    ) + "\n")
-    out.write(
-        "  coverage/completion are over *surviving* nodes; 'w' counts\n"
-        "  advisory warnings (concurrent senders) that do not fail a run\n"
-    )
-    if violating:
-        out.write(f"  {violating} run(s) breached protocol invariants\n")
-    return 1 if violating else 0
+    def render(done):
+        table = []
+        for axes, m in done:
+            warnings = len(m["watchdog"]["warnings"])
+            table.append([
+                axes["protocol"], axes["fault_class"],
+                f"{m['survivor_coverage']:.0%}",
+                "-" if m["completion_s"] is None
+                else f"{m['completion_s']:.1f}",
+                m["fails"], m["corrupt_images"], m["messages_sent"],
+                _watchdog_cell(m) + (f" +{warnings}w" if warnings else ""),
+            ])
+        columns = ["protocol", "fault", "coverage", "completion_s", "fails",
+                   "corrupt", "messages", "watchdog"]
+        title = (f"Chaos: {rows}x{cols} grid, intensity {args.intensity}, "
+                 f"seed {args.seed}")
+        return [(columns, table, title)], [
+            "coverage/completion are over *surviving* nodes; 'w' counts",
+            "advisory warnings (concurrent senders) that do not fail a run",
+        ]
+
+    return _drive(args, out, runs, render=render,
+                  breach="protocol invariants",
+                  header={"intensity": args.intensity,
+                          "grid": f"{rows}x{cols}", "seed": args.seed})
 
 
 def _cmd_adversary(args, out):
-    import sys as _sys
-
     from repro.experiments.adversary import ADVERSARY_CLASSES
-    from repro.metrics.reports import format_table
-    from repro.runner import RunSpec, Runner
+    from repro.runner import RunSpec
 
-    protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
-    attacks = (
-        [a.strip() for a in args.attacks.split(",") if a.strip()]
-        if args.attacks else list(ADVERSARY_CLASSES)
-    )
-    unknown = [a for a in attacks if a not in ADVERSARY_CLASSES]
-    if unknown or not attacks or not protocols:
-        _sys.stderr.write(
-            f"repro adversary: error: unknown attack class(es) "
-            f"{', '.join(unknown) or '(none given)'}; "
-            f"known: {', '.join(ADVERSARY_CLASSES)}\n"
-        )
-        return 2
+    attacks = _choose(args, "attack class(es)", args.attacks,
+                      ADVERSARY_CLASSES, default=ADVERSARY_CLASSES)
+    protocols = _choose(args, "protocol(s)", args.protocols,
+                        _known_protocols())
     rows, cols = args.grid
-    specs = [
-        RunSpec(
-            "adversary", protocol=protocol, seed=args.seed,
-            attack_class=attack, intensity=args.intensity,
-            secured=not args.insecure,
-            rows=rows, cols=cols, n_segments=args.segments,
-            segment_packets=args.segment_packets,
-            deadline_min=args.deadline_min,
-        )
+    runs = [
+        ({"protocol": protocol, "attack_class": attack},
+         RunSpec("adversary", protocol=protocol, seed=args.seed,
+                 attack_class=attack, intensity=args.intensity,
+                 secured=not args.insecure,
+                 rows=rows, cols=cols, n_segments=args.segments,
+                 segment_packets=args.segment_packets,
+                 deadline_min=args.deadline_min))
         for protocol in protocols
         for attack in attacks
     ]
-    progress = None if args.quiet else \
-        (lambda line: print(line, file=_sys.stderr, flush=True))
-    runner = Runner(
-        workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        progress=progress,
-    )
-    results = runner.run(specs)
+
+    def render(done):
+        table = [
+            [axes["protocol"], axes["attack_class"],
+             f"{m['survivor_coverage']:.0%}",
+             m["installs"]["installed"], m["installs"]["rejected"],
+             m["auth_rejects"], m["quarantines"],
+             m["tampered_installs"], _watchdog_cell(m)]
+            for axes, m in done
+        ]
+        columns = ["protocol", "attack", "coverage", "installed", "refused",
+                   "auth_rej", "quarant", "tampered", "watchdog"]
+        mode = "insecure" if args.insecure else "secured"
+        title = (f"Adversary ({mode}): {rows}x{cols} grid, intensity "
+                 f"{args.intensity}, seed {args.seed}")
+        return [(columns, table, title)], [
+            "auth_rej counts refused advertisements; quarant counts",
+            "discarded-and-re-requested segments; tampered counts installs",
+            "of images that were not the authentic one (must be 0)",
+        ]
+
     # The exit code answers the security question only: did any node
     # install a tampered or rolled-back image, or breach a protocol
     # invariant?  An adversary that merely costs time is an outcome.
-    violating = sum(
-        1 for m in results if m["watchdog"]["violations"]
-    )
-    if args.json:
-        import json
-
-        payload = {
-            "intensity": args.intensity,
-            "secured": not args.insecure,
-            "grid": f"{rows}x{cols}",
-            "seed": args.seed,
-            "runs": [
-                {"protocol": spec.protocol,
-                 "attack_class": spec.overrides["attack_class"],
-                 "key": spec.cache_key(),
-                 "metrics": metrics}
-                for spec, metrics in zip(specs, results)
-            ],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-        return 1 if violating else 0
-    table_rows = []
-    for spec, m in zip(specs, results):
-        wd = m["watchdog"]
-        if wd["violations"]:
-            verdict = f"VIOLATED({len(wd['violations'])})"
-        elif wd["stalls"]:
-            verdict = f"stalled({len(wd['stalls'])})"
-        else:
-            verdict = "ok"
-        table_rows.append([
-            spec.protocol, spec.overrides["attack_class"],
-            f"{m['survivor_coverage']:.0%}",
-            m["installs"]["installed"], m["installs"]["rejected"],
-            m["auth_rejects"], m["quarantines"],
-            m["tampered_installs"], verdict,
-        ])
-    mode = "insecure" if args.insecure else "secured"
-    out.write(format_table(
-        ["protocol", "attack", "coverage", "installed", "refused",
-         "auth_rej", "quarant", "tampered", "watchdog"],
-        table_rows,
-        title=(f"Adversary ({mode}): {rows}x{cols} grid, intensity "
-               f"{args.intensity}, seed {args.seed}"),
-    ) + "\n")
-    out.write(
-        "  auth_rej counts refused advertisements; quarant counts\n"
-        "  discarded-and-re-requested segments; tampered counts installs\n"
-        "  of images that were not the authentic one (must be 0)\n"
-    )
-    if violating:
-        out.write(f"  {violating} run(s) breached install/protocol "
-                  "invariants\n")
-    return 1 if violating else 0
+    return _drive(args, out, runs, render=render,
+                  breach="install/protocol invariants",
+                  header={"intensity": args.intensity,
+                          "secured": not args.insecure,
+                          "grid": f"{rows}x{cols}", "seed": args.seed})
 
 
 def _cmd_profile(args, out):
@@ -857,17 +800,8 @@ def _cmd_profile(args, out):
     from repro.profiling import WORKLOADS, render_profile, run_profile
 
     rows, cols = args.grid if args.grid else (None, None)
-    workloads = tuple(
-        name.strip() for name in args.workloads.split(",") if name.strip()
-    )
-    unknown = [name for name in workloads if name not in WORKLOADS]
-    if unknown or not workloads:
-        sys.stderr.write(
-            f"repro profile: error: unknown workload(s) "
-            f"{', '.join(unknown) or '(none given)'}; "
-            f"known: {', '.join(sorted(WORKLOADS))}\n"
-        )
-        return 2
+    workloads = tuple(_choose(args, "workload(s)", args.workloads,
+                              sorted(WORKLOADS)))
     overrides = {}
     if args.frames is not None:
         overrides["frames_per_node"] = args.frames
@@ -890,19 +824,16 @@ def _cmd_profile(args, out):
 
 def _cmd_conformance(args, out):
     import json
-    import sys as _sys
 
     from repro.conformance.harness import run_conformance, verdict_json
 
-    progress = None if args.quiet else \
-        (lambda line: print(line, file=_sys.stderr, flush=True))
     verdict = run_conformance(
         budget=args.budget, seed=args.seed,
         fault_fraction=args.fault_fraction,
         security_fraction=args.security_fraction,
         workers=args.workers,
         cache_dir=None if args.no_cache else args.cache_dir,
-        progress=progress,
+        progress=_progress(args),
         do_shrink=not args.no_shrink,
         artifact_dir=None if args.no_shrink else args.artifact_dir,
     )
@@ -946,16 +877,13 @@ def _cmd_serve(args, out):
 
     from repro.service import Service
 
-    progress = None if args.quiet else \
-        (lambda line: print(line, file=sys.stderr, flush=True))
-
     async def _serve():
         service = Service(
             workers=args.workers,
             cache_dir=None if args.no_cache else args.cache_dir,
             queue_limit=args.queue,
             job_timeout_s=args.timeout_s,
-            progress=progress,
+            progress=_progress(args),
         )
         host, port = await service.start(host=args.host, port=args.port)
         out.write(f"serving on http://{host}:{port}\n")
@@ -1034,8 +962,6 @@ def _cmd_loadgen(args, out):
 
     from repro.service.loadgen import render_report, run_loadgen
 
-    progress = None if args.quiet else \
-        (lambda line: print(line, file=sys.stderr, flush=True))
     try:
         report = asyncio.run(run_loadgen(
             url=args.url,
@@ -1048,7 +974,7 @@ def _cmd_loadgen(args, out):
             experiment=args.experiment,
             protocol=args.protocol,
             job_timeout_s=args.timeout_s,
-            progress=progress,
+            progress=_progress(args),
         ))
     except (ConnectionError, OSError, TimeoutError, RuntimeError) as exc:
         sys.stderr.write(f"repro loadgen: error: {exc}\n")
@@ -1188,6 +1114,7 @@ def _cmd_compare(args, out):
     from repro.experiments.comparison import comparison_report, \
         run_comparison
 
+    _check(args, "protocol(s)", args.protocols, _known_protocols())
     rows, cols = args.grid
     outcomes = run_comparison(tuple(args.protocols), seed=args.seed,
                               rows=rows, cols=cols,
@@ -1200,29 +1127,11 @@ def main(argv=None, out=None):
     """CLI entry point; returns a process exit code."""
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args, out)
-    if args.command == "figure":
-        return _cmd_figure(args, out)
-    if args.command == "compare":
-        return _cmd_compare(args, out)
-    if args.command == "sweep":
-        return _cmd_sweep(args, out)
-    if args.command == "chaos":
-        return _cmd_chaos(args, out)
-    if args.command == "adversary":
-        return _cmd_adversary(args, out)
-    if args.command == "profile":
-        return _cmd_profile(args, out)
-    if args.command == "conformance":
-        return _cmd_conformance(args, out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "submit":
-        return _cmd_submit(args, out)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args, out)
-    return 2
+    try:
+        return args.handler(args, out)
+    except _BadInput as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

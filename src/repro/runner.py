@@ -87,13 +87,6 @@ def metrics_digest(metrics):
     ).hexdigest()
 
 
-def register_experiment(name, import_path):
-    """Register an experiment executor as ``"module:function"``."""
-    if ":" not in import_path:
-        raise ValueError(f"import path {import_path!r} must be module:function")
-    EXPERIMENTS[name] = import_path
-
-
 def resolve_experiment(name):
     """Import and return the executor function for ``name``."""
     try:
@@ -316,10 +309,6 @@ class Runner:
         if self.progress is not None:
             self.progress(line)
 
-    def run_one(self, spec):
-        """Execute (or load) a single spec; returns its metrics dict."""
-        return self.run([spec])[0]
-
     def run(self, specs):
         """Execute every spec, returning metrics dicts in spec order.
 
@@ -412,12 +401,3 @@ class Runner:
                     done += 1
                     results[i] = self._finish(i, spec, metrics, elapsed_s,
                                               done, total)
-
-
-def sweep(specs, workers=0, cache_dir=None, progress=None):
-    """Convenience: run ``specs`` on a fresh :class:`Runner`.
-
-    Returns ``(results, runner)`` so callers can inspect cache stats.
-    """
-    runner = Runner(workers=workers, cache_dir=cache_dir, progress=progress)
-    return runner.run(specs), runner

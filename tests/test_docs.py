@@ -4,9 +4,10 @@ Runs ``tools/check_docs.py`` — markdown link/anchor resolution plus the
 doc-drift lint (every CLI subcommand and every ``REPRO_*`` env var used
 in ``src/`` must be mentioned under ``docs/`` or ``README.md``, and every
 ``REPRO_*`` var those docs name must still be read by ``src/``,
-``benchmarks/`` or the Makefile) — so a new subcommand, env var, deleted
-env var, or renamed doc heading fails the test suite, not just the CI
-job.
+``benchmarks/`` or the Makefile, and every documented ``python -m repro``
+command line must parse) — so a new subcommand, env var, deleted env
+var, dropped flag, or renamed doc heading fails the test suite, not just
+the CI job.
 """
 
 import subprocess
@@ -73,3 +74,36 @@ def test_env_lint_flags_documented_var_nothing_reads():
     # A var read only outside src/ (the benchmark conftest) is fine.
     assert check_docs.env_var_drift("REPRO_CACHE=0", used=[],
                                     read=read) == []
+
+
+def test_command_lint_passes_documented_commands_that_parse():
+    check_docs = _check_docs()
+    text = (
+        "Run `python -m repro figure fig8`, or:\n\n"
+        "```bash\n"
+        "REPRO_SCALE=smoke python -m repro sweep --seeds 0-3 \\\n"
+        "    --workers 2 --json | python -m json.tool   # pretty\n"
+        "python -m repro serve --port 8750 &   # background\n"
+        "```\n"
+    )
+    commands = check_docs.documented_commands(text)
+    assert [line for line, _ in commands] == [1, 4, 6]
+    assert check_docs.command_drift("doc.md", text,
+                                    check_docs._cli_parser()) == []
+
+
+def test_command_lint_flags_a_stale_flag():
+    check_docs = _check_docs()
+    text = ("```bash\n"
+            "python -m repro chaos --protocols mnp \\\n"
+            "    --fault-intensity 0.5\n"
+            "```\n"
+            "and `python -m repro sweep --shards 4`\n")
+    problems = check_docs.command_drift("doc.md", text,
+                                        check_docs._cli_parser())
+    assert len(problems) == 2
+    assert problems[0].startswith("doc.md:2: `python -m repro chaos "
+                                  "--protocols mnp --fault-intensity 0.5`")
+    assert "unrecognized arguments: --fault-intensity" in problems[0]
+    assert problems[1].startswith("doc.md:5: ")
+    assert "--shards" in problems[1]

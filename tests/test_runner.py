@@ -20,7 +20,6 @@ from repro.runner import (
     RunSpec,
     execute_spec,
     resolve_experiment,
-    sweep,
 )
 
 # Small enough that a full grid run takes ~0.05 s.
@@ -169,7 +168,7 @@ def test_no_cache_dir_writes_nothing(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Progress and the sweep() convenience
+# Progress
 # ----------------------------------------------------------------------
 def test_progress_lines_stream(tmp_path):
     lines = []
@@ -181,13 +180,6 @@ def test_progress_lines_stream(tmp_path):
                      progress=lines.append)
     runner2.run(tiny_specs(range(2)))
     assert any("cache hit" in line for line in lines)
-
-
-def test_sweep_convenience_returns_results_and_runner(tmp_path):
-    results, runner = sweep(tiny_specs(range(2)), workers=0,
-                            cache_dir=str(tmp_path))
-    assert len(results) == 2
-    assert runner.stats.misses == 2
 
 
 # ----------------------------------------------------------------------

@@ -23,10 +23,20 @@ Two families of checks, both offline and dependency-free:
    ``benchmarks/``, or the ``Makefile``.  A variable whose reader was
    deleted fails the lint until its docs go too.
 
+3. **Command-line lint** — every documented ``python -m repro ...``
+   command (fenced code lines, with ``\\`` continuations joined, and
+   inline code spans) in ``README.md`` and ``docs/*.md`` must parse with
+   ``repro.cli._build_parser()``.  A trailing ``# comment``, a pipe, or
+   a shell ``&``/``;`` ends the command.  A flag that was renamed or
+   dropped fails the lint until its docs follow.
+
 Exit status 0 when clean, 1 with one ``file: problem`` line per finding.
 """
 
+import contextlib
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -47,6 +57,8 @@ MENTION_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 _ENV_RE = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*")
+_INLINE_RE = re.compile(r"`([^`]*)`")
+_CLI = "python -m repro"
 
 
 def _strip_code_fences(text):
@@ -120,13 +132,17 @@ def _mention_corpus():
     )
 
 
-def repro_subcommands():
+def _cli_parser():
     sys.path.insert(0, str(REPO / "src"))
-    import argparse
-
     from repro.cli import _build_parser
 
-    parser = _build_parser()
+    return _build_parser()
+
+
+def repro_subcommands():
+    import argparse
+
+    parser = _cli_parser()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             return sorted(action.choices)
@@ -170,6 +186,65 @@ def env_var_drift(corpus, used, read):
     return problems
 
 
+def documented_commands(text):
+    """``(line number, command)`` for each ``python -m repro`` command in
+    markdown ``text``: the rest of a fenced line (``\\`` continuations
+    joined) or the inside of an inline code span."""
+    commands, in_fence = [], False
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        if _CLI not in line:
+            continue
+        if in_fence:
+            j = i
+            while line.endswith("\\") and j + 1 < len(lines):
+                j += 1
+                line = line[:-1] + " " + lines[j].strip()
+            commands.append((i + 1, line[line.index(_CLI):]))
+        else:
+            commands += [(i + 1, span[span.index(_CLI):])
+                         for span in _INLINE_RE.findall(line) if _CLI in span]
+    return commands
+
+
+def command_drift(name, text, parser):
+    """Findings for documented commands in ``text`` that ``parser``
+    rejects."""
+    problems = []
+    for lineno, command in documented_commands(text):
+        argv = []
+        for token in shlex.split(command, comments=True)[3:]:
+            if token in ("|", "&", "&&", ";"):
+                break
+            argv.append(token)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                parser.parse_args(argv)
+        except SystemExit as exc:
+            if exc.code:
+                reason = err.getvalue().strip().rpartition("\n")[2]
+                problems.append(
+                    f"{name}:{lineno}: `{' '.join([_CLI, *argv])}` does "
+                    f"not parse ({reason})")
+    return problems
+
+
+def check_commands():
+    parser = _cli_parser()
+    problems = []
+    for path in MENTION_FILES:
+        if path.exists():
+            problems += command_drift(path.relative_to(REPO),
+                                      path.read_text(encoding="utf-8"),
+                                      parser)
+    return problems
+
+
 def check_drift():
     corpus = _mention_corpus()
     problems = []
@@ -183,15 +258,18 @@ def check_drift():
 
 
 def main():
-    problems = check_links() + check_drift()
+    problems = check_links() + check_drift() + check_commands()
     for problem in problems:
         print(problem)
     if problems:
         print(f"\ndocs-check: {len(problems)} problem(s)")
         return 1
     docs = sum(1 for d in DOC_FILES if d.exists())
+    commands = sum(len(documented_commands(p.read_text(encoding="utf-8")))
+                   for p in MENTION_FILES if p.exists())
     print(f"docs-check: OK ({docs} docs, "
           f"{len(repro_subcommands())} subcommands, "
+          f"{commands} command lines, "
           f"{len(src_env_vars())} REPRO_* vars covered)")
     return 0
 
