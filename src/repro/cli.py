@@ -142,6 +142,18 @@ def _parse_fraction(text):
     return value
 
 
+def _parse_positive(text):
+    """Sizes and budgets: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -168,9 +180,10 @@ def _build_parser():
     deploy_p = argparse.ArgumentParser(add_help=False)
     deploy_p.add_argument("--grid", type=_parse_grid, default=(6, 6),
                           metavar="RxC", help="grid shape (default 6x6)")
-    deploy_p.add_argument("--segments", type=int, default=2,
+    deploy_p.add_argument("--segments", type=_parse_positive, default=2,
                           help="program size in segments (default 2)")
-    deploy_p.add_argument("--segment-packets", type=int, default=32,
+    deploy_p.add_argument("--segment-packets", type=_parse_positive,
+                          default=32,
                           help="packets per segment (default 32)")
     deploy_p.add_argument("--seed", type=int, default=0)
     deploy_p.add_argument("--deadline-min", type=float, default=240.0,
@@ -182,9 +195,10 @@ def _build_parser():
                        metavar="RxC", help="grid shape (default 10x10)")
     run_p.add_argument("--spacing", type=float, default=10.0,
                        help="inter-node spacing in feet (default 10)")
-    run_p.add_argument("--segments", type=int, default=2,
+    run_p.add_argument("--segments", type=_parse_positive, default=2,
                        help="program size in segments (default 2)")
-    run_p.add_argument("--segment-packets", type=int, default=64,
+    run_p.add_argument("--segment-packets", type=_parse_positive,
+                       default=64,
                        help="packets per segment (default 64)")
     run_p.add_argument("--protocol", default="mnp",
                        help="mnp, deluge, moap, xnp, or flood")
@@ -214,7 +228,7 @@ def _build_parser():
                        help="two or more of: mnp deluge moap xnp flood")
     cmp_p.add_argument("--grid", type=_parse_grid, default=(8, 8),
                        metavar="RxC")
-    cmp_p.add_argument("--segments", type=int, default=2)
+    cmp_p.add_argument("--segments", type=_parse_positive, default=2)
     cmp_p.add_argument("--seed", type=int, default=0)
 
     swp_p = sub.add_parser(
@@ -243,9 +257,11 @@ def _build_parser():
                        help="smoke, default, or paper (default: REPRO_SCALE)")
     swp_p.add_argument("--grid", type=_parse_grid, default=None,
                        metavar="RxC", help="override the scale's grid")
-    swp_p.add_argument("--segments", type=int, default=None,
+    swp_p.add_argument("--segments", type=_parse_positive,
+                       default=None,
                        help="override the scale's segment count")
-    swp_p.add_argument("--segment-packets", type=int, default=None,
+    swp_p.add_argument("--segment-packets", type=_parse_positive,
+                       default=None,
                        help="override the scale's packets per segment")
     swp_p.add_argument("--require-cached", action="store_true",
                        help="fail (exit 3) if any spec misses the cache")
@@ -296,7 +312,8 @@ def _build_parser():
                         help="saturation: frames per node (default 96)")
     prof_p.add_argument("--range", type=float, default=None, dest="range_ft",
                         help="radio range in feet (default 13)")
-    prof_p.add_argument("--segment-packets", type=int, default=None,
+    prof_p.add_argument("--segment-packets", type=_parse_positive,
+                        default=None,
                         help="dissemination: packets per segment "
                              "(default 32)")
     prof_p.add_argument("--json", action="store_true",
@@ -308,7 +325,7 @@ def _build_parser():
         "conformance", parents=[runner_p],
         help="fuzz generated scenarios against the oracle registry")
     conf_p.set_defaults(handler=_cmd_conformance)
-    conf_p.add_argument("--budget", type=int, default=50,
+    conf_p.add_argument("--budget", type=_parse_positive, default=50,
                         help="number of scenarios to generate (default 50)")
     conf_p.add_argument("--seed", type=int, default=0,
                         help="generator master seed (default 0)")
@@ -1104,8 +1121,8 @@ def _cmd_figure(args, out):
         return 0
     fn = _FIGURES.get(args.name)
     if fn is None:
-        out.write(f"unknown figure {args.name!r}; try 'figure list'\n")
-        return 2
+        raise _BadInput(f"repro figure: error: unknown figure "
+                        f"{args.name!r}; try 'figure list'")
     fn(args.seed, out)
     return 0
 

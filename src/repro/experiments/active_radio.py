@@ -32,12 +32,17 @@ SIM_SPACING_FT = 10.0
 def run_simulation_grid(rows=None, cols=None, n_segments=None,
                         segment_packets=None, seed=0, config=None,
                         protocol="mnp", deadline_min=480):
-    """One large-grid dissemination run at the current REPRO_SCALE."""
+    """One large-grid dissemination run; a size left at None comes from
+    the current REPRO_SCALE."""
     scale = current_scale()
-    rows = rows or scale.grid[0]
-    cols = cols or scale.grid[1]
-    n_segments = n_segments or scale.n_segments
-    segment_packets = segment_packets or scale.segment_packets
+    if rows is None:
+        rows = scale.grid[0]
+    if cols is None:
+        cols = scale.grid[1]
+    if n_segments is None:
+        n_segments = scale.n_segments
+    if segment_packets is None:
+        segment_packets = scale.segment_packets
     topo = Topology.grid(rows, cols, SIM_SPACING_FT)
     image = CodeImage.random(1, n_segments=n_segments,
                              segment_packets=segment_packets, seed=seed)

@@ -201,7 +201,8 @@ def grid_experiment(spec):
     ``spec.overrides`` may carry ``rows``, ``cols``, ``n_segments``,
     ``segment_packets``, ``deadline_min``, and (for MNP) a ``config`` dict
     of :class:`MNPConfig` keyword arguments; anything unspecified falls
-    back to the spec's pinned scale.  Returns the run's
+    back to the spec's pinned scale.  A size override below 1 raises
+    :class:`ValueError`.  Returns the run's
     :meth:`RunResult.summary_metrics`.
     """
     from repro.experiments.active_radio import run_simulation_grid
@@ -209,13 +210,22 @@ def grid_experiment(spec):
 
     scale = get_scale(spec.scale)
     ov = spec.overrides
+
+    def size(key, default):
+        value = ov.get(key)
+        if value is None:
+            return default
+        if value < 1:
+            raise ValueError(f"grid override {key}={value!r} must be >= 1")
+        return value
+
     config_kwargs = ov.get("config")
     config = MNPConfig(**config_kwargs) if config_kwargs else None
     run = run_simulation_grid(
-        rows=ov.get("rows", scale.grid[0]),
-        cols=ov.get("cols", scale.grid[1]),
-        n_segments=ov.get("n_segments", scale.n_segments),
-        segment_packets=ov.get("segment_packets", scale.segment_packets),
+        rows=size("rows", scale.grid[0]),
+        cols=size("cols", scale.grid[1]),
+        n_segments=size("n_segments", scale.n_segments),
+        segment_packets=size("segment_packets", scale.segment_packets),
         seed=spec.seed,
         config=config,
         protocol=spec.protocol,
@@ -275,12 +285,12 @@ class Deployment:
                                                seed=seed)
         self.seed = seed
         self.sim = Simulator(seed=seed)
-        self.collector = MetricsCollector(self.sim)
         self.propagation = propagation or PropagationModel.outdoor()
         self.loss_model = loss_model or EmpiricalLossModel(seed=seed)
         self.channel = make_channel(
             self.sim, topology, self.loss_model, self.propagation, seed=seed
         )
+        self.collector = MetricsCollector(self.channel)
         self.mote_config = mote_config or MoteConfig()
         self.base_id = (
             topology.corner_node("bottom-left") if base_id is None else base_id

@@ -1,22 +1,32 @@
-"""Trace-driven metrics collection.
+"""Passive metrics collection.
 
-A :class:`MetricsCollector` is attached to a simulator *before* the run and
-accumulates protocol- and radio-level events; at the end of the run the
-experiment harness combines them with the radios' time integrals to produce
-the paper's metrics.  Collection is entirely passive -- protocols are
-unaware of it.
+A :class:`MetricsCollector` is attached to a deployment's channel *before*
+the run; at the end of the run the experiment harness combines what it
+holds with the radios' time integrals to produce the paper's metrics.
+Collection is entirely passive -- protocols are unaware of it.
+
+Two sources feed it:
+
+* **Per-frame counts** (Figs. 11 and 12, collisions) are views over
+  counters the radio layer keeps anyway: the channel's collision count,
+  each radio's ``frames_received``, and the channel's transmission log,
+  which the collector switches on by attaching a list.  No trace record
+  is built per frame for them.
+* **Protocol progress** (sender elections, parents, segment and image
+  completions, first advertisements, fails) arrives as trace records.
 """
 
 from collections import Counter, defaultdict
 
 
 class MetricsCollector:
-    """Accumulates trace records for one simulation run."""
+    """Per-run metrics over one :class:`repro.radio.channel.Channel`.
+
+    The per-frame views count everything since the channel was built, so
+    attach the collector before the first transmission.
+    """
 
     CATEGORIES = (
-        "radio.tx",
-        "radio.rx",
-        "channel.collision",
         "mnp.sender",
         "mnp.parent",
         "mnp.got_segment",
@@ -28,14 +38,12 @@ class MetricsCollector:
         "proto.got_code",
     )
 
-    def __init__(self, sim):
-        self.sim = sim
-        # Transmissions / receptions
-        self.tx_by_node = Counter()
-        self.tx_by_node_kind = defaultdict(Counter)
-        self.tx_log = []  # (time, node, kind)
-        self.rx_by_node = Counter()
-        self.collisions = 0
+    def __init__(self, channel):
+        self.channel = channel
+        if channel.tx_log is None:
+            channel.tx_log = []
+        # (time, node, kind) per transmission start, in order.
+        self.tx_log = channel.tx_log
         # Protocol progress
         self.got_code = {}  # node -> time
         self.got_segment = defaultdict(dict)  # node -> seg -> (time, parent)
@@ -43,23 +51,43 @@ class MetricsCollector:
         self.sender_events = []  # (time, node, seg, req_ctr)
         self.first_adv = {}  # node -> (time, radio_on_ms at that instant)
         self.fails = Counter()
-        sim.tracer.subscribe(self._on_record, categories=self.CATEGORIES)
+        channel.sim.tracer.subscribe(self._on_record,
+                                     categories=self.CATEGORIES)
+
+    # ------------------------------------------------------------------
+    # Per-frame views
+    # ------------------------------------------------------------------
+    @property
+    def tx_by_node(self):
+        """node -> transmissions, in first-transmission order."""
+        return Counter(node for _, node, _ in self.tx_log)
+
+    @property
+    def tx_by_node_kind(self):
+        """node -> Counter of transmitted payload kinds, in
+        first-transmission order."""
+        by_kind = defaultdict(Counter)
+        for _, node, kind in self.tx_log:
+            by_kind[node][kind] += 1
+        return by_kind
+
+    @property
+    def rx_by_node(self):
+        """node -> frames delivered to it, for nodes with at least one."""
+        return Counter({radio.node_id: radio.frames_received
+                        for radio in self.channel.radios()
+                        if radio.frames_received})
+
+    @property
+    def collisions(self):
+        """Frames corrupted by overlapping transmissions at a receiver."""
+        return self.channel.collisions
 
     # ------------------------------------------------------------------
     def _on_record(self, rec):
         fields = rec.fields
         category = rec.category
-        if category == "radio.tx":
-            node = fields["node"]
-            kind = fields["kind"]
-            self.tx_by_node[node] += 1
-            self.tx_by_node_kind[node][kind] += 1
-            self.tx_log.append((rec.time, node, kind))
-        elif category == "radio.rx":
-            self.rx_by_node[fields["node"]] += 1
-        elif category == "channel.collision":
-            self.collisions += 1
-        elif category in ("mnp.sender", "proto.sender"):
+        if category in ("mnp.sender", "proto.sender"):
             self.sender_events.append(
                 (rec.time, fields["node"], fields.get("seg"),
                  fields.get("req_ctr"))

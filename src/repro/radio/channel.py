@@ -20,8 +20,11 @@ responds to:
   (19.2 kbps for the Mica-2 CC1000).
 
 Energy-relevant bookkeeping (tx/rx time, successful receptions, collision
-counts) is pushed into the radios; trace records are emitted for the
-metrics layer.
+counts) is pushed into the radios.  The metrics layer reads those counters
+and the transmission log (:attr:`Channel.tx_log`, kept only once a
+:class:`repro.metrics.collector.MetricsCollector` attaches it); per-frame
+trace records (``radio.tx``, ``radio.rx``, ``channel.collision``) are
+built only while some subscriber watches their category.
 
 Hot-path structure (all O(1) in network size, like TOSSIM's
 closest-point-of-approach optimization of per-bit simulation):
@@ -105,6 +108,9 @@ class Channel:
         self.transmissions = 0
         self.collisions = 0
         self.bit_error_losses = 0
+        # (time, src, payload kind) per transmission start, or None: a
+        # metrics collector attaches a list (bare channels keep no log).
+        self.tx_log = None
         # Hot-path counters (for the profiling harness)
         self.carrier_polls = 0
         self.link_cache_hits = 0
@@ -173,6 +179,10 @@ class Channel:
         self._radios[radio.node_id] = radio
         radio.channel = self
         self._receptions.setdefault(radio.node_id, {})
+
+    def radios(self):
+        """The attached radios, in node-id order."""
+        return [radio for radio in self._radios if radio is not None]
 
     def _range_for(self, power_level):
         """Communication range at ``power_level``, frozen at first use.
@@ -282,8 +292,10 @@ class Channel:
         self._active[src] = tx
         radio.tx_started()
         self.transmissions += 1
+        if self.tx_log is not None:
+            self.tx_log.append((now, src, type(frame.payload).__name__))
         tracer = self.sim.tracer
-        if tracer.watches("radio.tx"):
+        if tracer.watchers["radio.tx"]:
             tracer.emit(
                 "radio.tx",
                 node=src,
@@ -304,7 +316,7 @@ class Channel:
         carrier = self._carrier
         radios = self._radios
         receptions = self._receptions
-        coll_watched = tracer.watches("channel.collision")
+        coll_watched = tracer.watchers["channel.collision"]
         receivers_append = tx.receivers.append
         for dst in tx.listeners:
             carrier[dst] += 1
@@ -354,15 +366,15 @@ class Channel:
         range_ft = tx.range_ft
         aborted = tx.aborted
         frame_bytes = frame.on_air_bytes
-        kind = type(frame.payload).__name__
         receptions = self._receptions
         radios = self._radios
         decode_cache = self._decode_cache
         cache_enabled = self._link_cache_enabled
         random = self._rng.random
         tracer = self.sim.tracer
-        emit = tracer.emit
-        rx_watched = tracer.watches("radio.rx")
+        rx_watched = tracer.watchers["radio.rx"]
+        if rx_watched:
+            kind = type(frame.payload).__name__
         for dst in tx.receivers:
             ongoing = receptions[dst]
             reception = ongoing.get(src)
@@ -404,7 +416,7 @@ class Channel:
                         self.bit_error_losses += 1
                         continue
                 if rx_watched:
-                    emit(
+                    tracer.emit(
                         "radio.rx",
                         node=dst,
                         src=src,

@@ -16,7 +16,7 @@ must be inert (see the fault-injection subsystem, ``repro.faults``).
 Each fire (or suppression) is published on the tracer as ``timer.fire`` /
 ``timer.suppressed`` when watched, so the invariant watchdog can assert
 that no timer callback ever runs on a dead node; unwatched runs pay one
-predicate call per fire.
+dict lookup per fire.
 """
 
 
@@ -61,10 +61,10 @@ class Timer:
         self._event = None
         tracer = self.sim.tracer
         if self.guard is not None and not self.guard():
-            if tracer.watches("timer.suppressed"):
+            if tracer.watchers["timer.suppressed"]:
                 tracer.emit("timer.suppressed", name=self.name)
             return
-        if tracer.watches("timer.fire"):
+        if tracer.watchers["timer.fire"]:
             tracer.emit("timer.fire", name=self.name)
         self.callback()
 

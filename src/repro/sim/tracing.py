@@ -2,8 +2,13 @@
 
 Components emit structured trace records (category + fields); subscribers --
 metric collectors, tests, or a debugging printer -- receive them
-synchronously.  Metrics in the reproduction are built entirely on traces, so
-protocol code never needs to know which figures are being produced.
+synchronously.  Protocol-level metrics (sender elections, parents, segment
+and image completions) are built on traces, so protocol code never needs to
+know which figures are being produced.  Per-frame counts (transmissions,
+receptions, collisions) are kept by the radio layer itself and read by the
+metrics collector at the end of a run; the channel still publishes them as
+``radio.tx`` / ``radio.rx`` / ``channel.collision`` records whenever a
+subscriber (a trace writer, a test, a tap) watches those categories.
 
 Thread-local *taps* let a harness observe simulations it does not
 construct: :func:`push_tap` registers a subscriber that every
@@ -70,60 +75,74 @@ class TraceRecord:
         return f"<{self.category} @{self.time:.1f}ms {parts}>"
 
 
+class _Watchers(dict):
+    """category -> tuple of the subscriber fns it reaches, in subscription
+    order; filled on the first lookup of each category.
+
+    An unwatched category -- or any category while the tracer is
+    disabled -- maps to an empty tuple, so hot emitters guard with a
+    plain subscript, ``if tracer.watchers[category]:``, before building
+    a record's fields.
+    """
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer):
+        super().__init__()
+        self._tracer = tracer
+
+    def __missing__(self, category):
+        tracer = self._tracer
+        fns = tuple(
+            fn for fn, categories in tracer._subscribers
+            if categories is None or category in categories
+        ) if tracer.enabled else ()
+        self[category] = fns
+        return fns
+
+
 class Tracer:
     """Publish/subscribe hub for :class:`TraceRecord` objects."""
 
     def __init__(self, sim):
         self._sim = sim
         self._subscribers = list(current_taps())
-        # category -> tuple of subscriber fns, in subscription order,
-        # built lazily on first emit of each category.  Unwatched
-        # categories map to an empty tuple, so emitting them costs one
-        # dict lookup and no record construction.
-        self._index = {}
-        self.enabled = True
+        self._enabled = True
+        self.watchers = _Watchers(self)
+
+    @property
+    def enabled(self):
+        """False silences every category (existing subscribers stay)."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value):
+        self._enabled = bool(value)
+        self.watchers.clear()
 
     def subscribe(self, fn, categories=None):
         """Register ``fn(record)``; ``categories`` limits delivery if given."""
         if categories is not None:
             categories = frozenset(categories)
         self._subscribers.append((fn, categories))
-        self._index.clear()
+        self.watchers.clear()
         return fn
 
     def unsubscribe(self, fn):
         self._subscribers = [(f, c) for f, c in self._subscribers if f is not fn]
-        self._index.clear()
-
-    def _fns_for(self, category):
-        fns = tuple(
-            fn for fn, categories in self._subscribers
-            if categories is None or category in categories
-        )
-        self._index[category] = fns
-        return fns
+        self.watchers.clear()
 
     def watches(self, category):
         """True if emitting ``category`` would reach a subscriber.
 
-        Hot emitters guard with this before building the fields dict, so
-        unwatched categories cost one method call instead of a dict
-        construction plus an :meth:`emit` that drops it.
+        Hot emitters test ``tracer.watchers[category]`` directly, which
+        answers the same question without a method call.
         """
-        if not self.enabled:
-            return False
-        fns = self._index.get(category)
-        if fns is None:
-            fns = self._fns_for(category)
-        return bool(fns)
+        return bool(self.watchers[category])
 
     def emit(self, category, **fields):
         """Publish a record stamped with the current virtual time."""
-        if not self.enabled:
-            return
-        fns = self._index.get(category)
-        if fns is None:
-            fns = self._fns_for(category)
+        fns = self.watchers[category]
         if not fns:
             return
         record = TraceRecord(self._sim.now, category, fields)

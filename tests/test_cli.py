@@ -46,10 +46,12 @@ def test_figure_list():
         assert name in text
 
 
-def test_figure_unknown():
+def test_figure_unknown(capsys):
     code, text = run_cli(["figure", "fig99"])
     assert code == 2
-    assert "unknown figure" in text
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "repro figure: error: unknown figure 'fig99'; try 'figure list'\n")
 
 
 def test_figure_table1():
@@ -457,6 +459,20 @@ def _exit_code(argv):
      "argument --security-fraction: must be a number in [0, 1]"),
     (["loadgen", "--duplicate-fraction", "7"],
      "argument --duplicate-fraction: must be a number in [0, 1], got '7'"),
+    (["conformance", "--budget", "-5"],
+     "argument --budget: must be a positive integer, got '-5'"),
+    (["conformance", "--budget", "0"],
+     "argument --budget: must be a positive integer, got '0'"),
+    (["sweep", "--segments", "0"],
+     "argument --segments: must be a positive integer, got '0'"),
+    (["sweep", "--segment-packets", "0"],
+     "argument --segment-packets: must be a positive integer, got '0'"),
+    (["chaos", "--segments", "0"],
+     "argument --segments: must be a positive integer, got '0'"),
+    (["adversary", "--segment-packets", "-1"],
+     "argument --segment-packets: must be a positive integer, got '-1'"),
+    (["chaos", "--segment-packets", "x"],
+     "argument --segment-packets: must be a positive integer, got 'x'"),
 ])
 def test_bad_input_exits_2_and_caches_nothing(argv, message, tmp_path,
                                               capsys):
@@ -464,6 +480,17 @@ def test_bad_input_exits_2_and_caches_nothing(argv, message, tmp_path,
     assert _exit_code(argv + ["--cache-dir", str(cache), "--quiet"]) == 2
     assert message in capsys.readouterr().err
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--grid", "2x2", "--segments", "0"],
+    ["run", "--grid", "2x2", "--segment-packets", "0"],
+    ["compare", "mnp", "deluge", "--grid", "2x2", "--segments", "0"],
+    ["profile", "--grid", "2x2", "--segment-packets", "0"],
+])
+def test_non_positive_size_exits_2(argv, capsys):
+    assert _exit_code(argv) == 2
+    assert "must be a positive integer, got '0'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

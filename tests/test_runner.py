@@ -195,6 +195,13 @@ def test_density_experiment_parity_with_sweep_helper():
     assert serial[0].__dict__ == parallel[0].__dict__
 
 
+@pytest.mark.parametrize("key", ["rows", "n_segments", "segment_packets"])
+def test_grid_experiment_rejects_non_positive_sizes(key):
+    spec = RunSpec("grid", scale="smoke", seed=0, **{**TINY, key: 0})
+    with pytest.raises(ValueError, match=f"{key}=0"):
+        execute_spec(spec)
+
+
 def test_grid_experiment_spec_matches_direct_run():
     spec = tiny_specs([3])[0]
     from repro.experiments.active_radio import run_simulation_grid

@@ -41,9 +41,26 @@ def test_disabled_tracer_is_silent():
     sim = Simulator()
     seen = []
     sim.tracer.subscribe(seen.append)
+    sim.tracer.emit("a")                  # "a" is now indexed as watched
     sim.tracer.enabled = False
+    assert not sim.tracer.watches("a")
     sim.tracer.emit("a")
-    assert seen == []
+    assert len(seen) == 1
+    sim.tracer.enabled = True
+    assert sim.tracer.watches("a")
+    sim.tracer.emit("a")
+    assert len(seen) == 2
+
+
+def test_subscribe_after_first_emit_still_delivers():
+    sim = Simulator()
+    sim.tracer.emit("a")                  # "a" is now indexed as unwatched
+    assert not sim.tracer.watches("a")
+    seen = []
+    sim.tracer.subscribe(seen.append, categories=("a",))
+    assert sim.tracer.watches("a")
+    sim.tracer.emit("a", x=1)
+    assert [r.x for r in seen] == [1]
 
 
 def test_no_subscribers_is_cheap_noop():
